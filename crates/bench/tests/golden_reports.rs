@@ -2,12 +2,12 @@
 //!
 //! The hot-path refactors (predecoded dispatch, flattened caches, the
 //! streambuffer word fast path) must keep every report bit-identical:
-//! these tests lock the serialized fig13/fig14/fig16 reports at test
-//! scale against hashes captured before the refactor. Any timing-model
+//! these tests lock the serialized fig13/fig14/fig16/fig19 reports at
+//! test scale against hashes captured before the refactor. Any timing-model
 //! or counter drift shows up here as a hash mismatch long before a
 //! reviewer would spot it in a figure.
 
-use assasin_bench::experiments::{fig13, fig14, fig16};
+use assasin_bench::experiments::{fig13, fig14, fig16, fig19};
 use assasin_bench::Scale;
 
 /// FNV-1a 64-bit over the serialized report (no external hash crates in
@@ -34,6 +34,10 @@ fn hash_json<T: serde::Serialize>(report: &T) -> u64 {
 const GOLDEN_FIG13: u64 = 0x591b22e89ad67746;
 const GOLDEN_FIG14: u64 = 0x9d7d2d404949c717;
 const GOLDEN_FIG16: u64 = 0x23e16ba2d2ff54d3;
+/// Captured later than the other three, on the tree that still batched
+/// fig19's points through the lane executor, so it pins the skew sweep
+/// across the switch to per-point scalar execution.
+const GOLDEN_FIG19: u64 = 0x0bc419ffeb51df08;
 
 #[test]
 fn fig13_report_matches_pre_refactor_bytes() {
@@ -54,4 +58,11 @@ fn fig16_report_matches_pre_refactor_bytes() {
     let h = hash_json(&fig16::run(&Scale::test_scale()));
     println!("fig16 hash: {h:#018x}");
     assert_eq!(h, GOLDEN_FIG16, "fig16 report JSON drifted from golden");
+}
+
+#[test]
+fn fig19_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig19::run(&Scale::test_scale()));
+    println!("fig19 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_FIG19, "fig19 report JSON drifted from golden");
 }
