@@ -9,7 +9,7 @@
 use assasin_array::{ArrayConfig, ArrayExec, ArrayPlacement, SsdArray};
 use assasin_bench::bundles;
 use assasin_bench::runner::{offload, ssd_with};
-use assasin_core::{run_lanes, AnyExec, Core, CoreConfig, EngineKind, LaneGroup, SyntheticEnv};
+use assasin_core::{Core, CoreConfig, EngineKind, SyntheticEnv};
 use assasin_flash::{FlashArray, FlashGeometry, FlashTiming};
 use assasin_kernels::{query, scan, AccessStyle};
 use assasin_mem::{
@@ -258,52 +258,6 @@ fn bench_flash(c: &mut Criterion) {
     g.finish();
 }
 
-// Eight identical scan sweep points (one core per synthetic environment)
-// dispatched by the lane executor at each width. `scalar` is the plain
-// per-core loop; the lane widths share one dispatch loop in lockstep.
-// This is the measurement behind DESIGN.md §13: with macro-op fusion the
-// scalar loop wins on fed streams, so lane batching stays opt-in.
-fn bench_lane_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lane_dispatch");
-    const POINTS: usize = 8;
-    let data = vec![0u8; 64 * 1024];
-    g.throughput(Throughput::Bytes((POINTS * data.len()) as u64));
-    for (name, exec) in [
-        ("scalar", AnyExec::Scalar),
-        ("lanes2", AnyExec::Lanes2),
-        ("lanes4", AnyExec::Lanes4),
-        ("lanes8", AnyExec::Lanes8),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut points: Vec<(SyntheticEnv, Core)> = (0..POINTS)
-                    .map(|_| {
-                        let mut env = SyntheticEnv::new(8, 4096);
-                        env.set_input(0, &data);
-                        let core = Core::new(
-                            0,
-                            CoreConfig::assasin_sb(),
-                            scan::program(AccessStyle::Stream),
-                            None,
-                        );
-                        (env, core)
-                    })
-                    .collect();
-                let mut groups: Vec<LaneGroup<'_>> = points
-                    .iter_mut()
-                    .map(|(env, core)| LaneGroup {
-                        env,
-                        cores: std::slice::from_mut(core),
-                    })
-                    .collect();
-                run_lanes(&mut groups, exec, u64::MAX);
-                std::hint::black_box(points.iter().map(|(_, c)| c.cycles()).sum::<u64>())
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_scomp(c: &mut Criterion) {
     let mut g = c.benchmark_group("scomp");
     g.sample_size(10);
@@ -407,7 +361,6 @@ criterion_group!(
     bench_interpreter,
     bench_timeline,
     bench_flash,
-    bench_lane_dispatch,
     bench_scomp,
     bench_snapshot,
     bench_array

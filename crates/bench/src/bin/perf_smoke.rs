@@ -1,18 +1,14 @@
 //! A fixed small benchmark sweep for tracking harness performance.
 //!
-//! Runs a handful of experiments at test scale three ways — fully serial
-//! with the scalar interpreter (`with_max_threads(1)`; best of three reps
-//! per experiment, since this pass feeds the perf gate), serial with the
-//! 8-wide lane-batched executor forced (`set_lane_cap(8)`), and once under
-//! an explicit parallel thread budget (`RAYON_NUM_THREADS`, else
+//! Runs a handful of experiments at test scale two ways — fully serial
+//! (`with_max_threads(1)`; best of three reps per experiment, since this
+//! pass feeds the perf gate) and once under an explicit parallel thread
+//! budget (`RAYON_NUM_THREADS`, else
 //! `std::thread::available_parallelism`) — and writes per-experiment
 //! wall-clock plus a representative simulated throughput to
 //! `BENCH_perf_smoke.json`. Both thread counts are recorded so a "speedup"
 //! of ~1.0 on a single-core box reads as what it is, not as a
-//! parallelization regression; the lane pass records each experiment's
-//! lane-session count and batch width next to its wall time, so the
-//! batched-vs-scalar comparison is attributable per experiment. Every
-//! pass also records each experiment's copy-on-write device forks and the
+//! parallelization regression. Every pass also records each experiment's copy-on-write device forks and the
 //! flash pages those forks inherited by reference — the prefix-reuse
 //! savings of the snapshot/fork sweep harness (DESIGN.md §14). A
 //! per-component section times the simulator's hot paths (interpreter,
@@ -46,7 +42,7 @@ use bytes::Bytes;
 use serde::Serialize;
 use std::time::Instant;
 
-/// One experiment's measurement under one executor mode.
+/// One experiment's measurement under one thread budget.
 #[derive(Debug, Serialize)]
 struct ExperimentSample {
     /// Experiment name.
@@ -60,11 +56,6 @@ struct ExperimentSample {
     cosim_rounds: u64,
     /// Fixed-epoch rounds the event-driven deadline jumps skipped.
     epochs_skipped: u64,
-    /// `scomp` sessions that ran on the lane-batched executor (0 in the
-    /// scalar passes).
-    lane_sessions: u64,
-    /// Widest lane batch formed so far when this run used lanes, else 0.
-    lane_width: u64,
     /// Copy-on-write device forks taken off preconditioned images during
     /// the run (0 for experiments that load each device from scratch).
     forks: u64,
@@ -173,29 +164,18 @@ struct PerfSmokeReport {
     /// Thread budget of the parallel pass (`RAYON_NUM_THREADS` if set,
     /// else `std::thread::available_parallelism()`).
     parallel_threads: usize,
-    /// Per-experiment samples with a single worker thread (scalar
-    /// interpreter).
+    /// Per-experiment samples with a single worker thread.
     serial: Vec<ExperimentSample>,
-    /// Per-experiment samples with the parallel thread budget (scalar
-    /// interpreter).
+    /// Per-experiment samples with the parallel thread budget.
     parallel: Vec<ExperimentSample>,
-    /// Per-experiment samples with a single worker thread and the 8-wide
-    /// lane-batched executor forced (`set_lane_cap(8)`).
-    lanes: Vec<ExperimentSample>,
     /// Total serial wall-clock, seconds.
     serial_total_secs: f64,
     /// Total parallel wall-clock, seconds.
     parallel_total_secs: f64,
-    /// Total lane-pass wall-clock, seconds.
-    lanes_total_secs: f64,
     /// Serial / parallel wall-clock ratio. Meaningless (~1.0) when
     /// `parallel_threads` is 1; see that field before reading anything
     /// into this one.
     speedup: f64,
-    /// Scalar-serial / lane-serial wall-clock ratio: above 1.0 the lane
-    /// executor is faster on this suite, below 1.0 scalar dispatch wins
-    /// (the expected result with macro-op fusion — see DESIGN.md §13).
-    lane_speedup: f64,
     /// Isolated hot-path component timings (single-threaded).
     components: Vec<ComponentSample>,
     /// Multi-device array pass (serial vs. threaded per-device workers).
@@ -215,23 +195,19 @@ fn sb_gbps(entries: &[fig13::Entry]) -> f64 {
 struct RunCounters {
     cosim_rounds: u64,
     epochs_skipped: u64,
-    lane_sessions: u64,
-    lane_width: u64,
     forks: u64,
     fork_pages_shared: u64,
     rel: assasin_flash::ReliabilityCounters,
 }
 
-/// Snapshot-delta of the process-wide co-sim + lane + media-reliability
+/// Snapshot-delta of the process-wide co-sim + fork + media-reliability
 /// counters around a run.
 fn with_counters<T>(f: impl FnOnce() -> T) -> (T, RunCounters) {
     let (r0, s0) = assasin_ssd::cosim_counters();
-    let (l0, _) = assasin_ssd::lane_counters();
     let (f0, p0) = assasin_ssd::fork_counters();
     let rel0 = assasin_flash::reliability_counters();
     let out = f();
     let (r1, s1) = assasin_ssd::cosim_counters();
-    let (l1, w1) = assasin_ssd::lane_counters();
     let (f1, p1) = assasin_ssd::fork_counters();
     let rel1 = assasin_flash::reliability_counters();
     (
@@ -239,10 +215,6 @@ fn with_counters<T>(f: impl FnOnce() -> T) -> (T, RunCounters) {
         RunCounters {
             cosim_rounds: r1 - r0,
             epochs_skipped: s1 - s0,
-            lane_sessions: l1 - l0,
-            // The width counter is a process-lifetime running max; report
-            // it only for runs that actually formed lane batches.
-            lane_width: if l1 > l0 { w1 } else { 0 },
             forks: f1 - f0,
             fork_pages_shared: p1 - p0,
             rel: rel1.since(rel0),
@@ -257,8 +229,6 @@ fn sample(name: &'static str, wall_secs: f64, gbps: f64, c: RunCounters) -> Expe
         simulated_gbps: gbps,
         cosim_rounds: c.cosim_rounds,
         epochs_skipped: c.epochs_skipped,
-        lane_sessions: c.lane_sessions,
-        lane_width: c.lane_width,
         forks: c.forks,
         fork_pages_shared: c.fork_pages_shared,
         read_retries: c.rel.read_retries,
@@ -564,11 +534,9 @@ fn main() {
     let scale = Scale::test_scale();
     let parallel_threads = assasin_parallel::current_max_threads();
 
-    // Scalar passes: pin the lane cap so an inherited `ASSASIN_LANES`
-    // cannot skew the baseline. The serial pass feeds the perf gate, so
-    // it repeats the whole suite and keeps each experiment's fastest rep
-    // — the suite is deterministic, so only the wall clock differs.
-    assasin_ssd::set_lane_cap(1);
+    // The serial pass feeds the perf gate, so it repeats the whole suite
+    // and keeps each experiment's fastest rep — the suite is
+    // deterministic, so only the wall clock differs.
     let mut serial: Vec<ExperimentSample> = Vec::new();
     let mut serial_total_secs = f64::INFINITY;
     for _ in 0..SERIAL_REPS {
@@ -588,13 +556,6 @@ fn main() {
     let parallel = assasin_parallel::with_max_threads(parallel_threads, || run_suite(&scale));
     let parallel_total_secs = t.elapsed().as_secs_f64();
 
-    // Lane pass: same serial suite on the 8-wide lockstep executor.
-    assasin_ssd::set_lane_cap(8);
-    let t = Instant::now();
-    let lanes = assasin_parallel::with_max_threads(1, || run_suite(&scale));
-    let lanes_total_secs = t.elapsed().as_secs_f64();
-    assasin_ssd::set_lane_cap(1);
-
     let components = run_components();
     let array = run_array_pass(&scale);
     let serving = run_serving_pass(&scale);
@@ -605,12 +566,9 @@ fn main() {
         parallel_threads,
         serial,
         parallel,
-        lanes,
         serial_total_secs,
         parallel_total_secs,
-        lanes_total_secs,
         speedup: serial_total_secs / parallel_total_secs.max(1e-9),
-        lane_speedup: serial_total_secs / lanes_total_secs.max(1e-9),
         components,
         array,
         serving,
@@ -624,11 +582,6 @@ fn main() {
         report.parallel_total_secs,
         report.parallel_threads,
         report.speedup
-    );
-    let widest = report.lanes.iter().map(|s| s.lane_width).max().unwrap_or(0);
-    eprintln!(
-        "perf_smoke: lane pass {:.2}s (8-wide, widest batch {}) vs scalar {:.2}s -> {:.2}x",
-        report.lanes_total_secs, widest, report.serial_total_secs, report.lane_speedup
     );
     let (forks, shared): (u64, u64) = report
         .serial

@@ -78,21 +78,17 @@ pub fn run(scale: &Scale) -> Fig16Report {
         sample.len() as f64 / core.cycles() as f64 // bytes/cycle == GB/s at 1 GHz
     };
 
-    // Each core count is an independent sweep point over its own SSD, but
-    // every point runs the same scan program, so the whole sweep executes
-    // as one lane-batched group: the 1-, 2- and 4-core points ride in the
-    // same dispatch loop as the wide points instead of each spinning its
-    // own. The dataset is also identical across points, so it is loaded
-    // onto flash once and every point forks a copy-on-write device off
-    // the shared image. Normalization happens after reassembly (it only
-    // needs the calibration constant above).
+    // Each core count is an independent sweep point over its own SSD. The
+    // dataset is identical across points, so it is loaded onto flash once
+    // and every point forks a copy-on-write device off the shared image.
+    // Normalization happens after reassembly (it only needs the
+    // calibration constant above).
     let image = LoadedImage::precondition(std::slice::from_ref(&data))
         .unwrap_or_else(|e| panic!("scan dataset load: {e}"));
-    let measured = sweep::run_lane_groups(&CORE_COUNTS, CORE_COUNTS.len(), |&cores| {
-        let ssd = image.fork(EngineKind::AssasinSb, cores, false, false);
+    let measured = sweep::run_points(&CORE_COUNTS, |&cores| {
+        let mut ssd = image.fork(EngineKind::AssasinSb, cores, false, false);
         let flash_bound_gbps = ssd.config().flash_bw() / 1e9;
-        let req = image.request(scan_bundle());
-        (ssd, req, flash_bound_gbps)
+        (ssd.scomp(&image.request(scan_bundle())), flash_bound_gbps)
     });
     let mut points = Vec::new();
     let mut channel_gbps = Vec::new();

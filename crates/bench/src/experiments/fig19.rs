@@ -16,7 +16,7 @@ use crate::Scale;
 use assasin_core::EngineKind;
 use assasin_ftl::placement::Placement;
 use assasin_ftl::skew::measure_skew;
-use assasin_ssd::{ScompRequest, Ssd};
+use assasin_ssd::{ScompRequest, ScompResult, Ssd, SsdError};
 use serde::Serialize;
 use std::fmt;
 
@@ -45,7 +45,7 @@ pub struct Fig19Report {
     pub points: Vec<SkewPoint>,
 }
 
-fn prep_one(skew: f64, data: &[u8], channel_local: bool) -> (Ssd, ScompRequest, f64) {
+fn run_one(skew: f64, data: &[u8], channel_local: bool) -> (Result<ScompResult, SsdError>, f64) {
     let mut ssd: Ssd = ssd_with(EngineKind::AssasinSb, 8, false, channel_local);
     let channels = ssd.config().geometry.channels;
     let pages = data
@@ -58,19 +58,17 @@ fn prep_one(skew: f64, data: &[u8], channel_local: bool) -> (Ssd, ScompRequest, 
     let measured = measure_skew(&ssd.channel_distribution(&lpas));
     let req = ScompRequest::new(heavy_scan_bundle(), vec![lpas])
         .with_stream_bytes(vec![data.len() as u64]);
-    (ssd, req, measured)
+    (ssd.scomp(&req), measured)
 }
 
 /// Runs the sweep: every (skew, architecture) pair is an independent
-/// point; rows pair crossbar and channel-local after reassembly. All ten
-/// points run the same heavy-scan program, so the sweep executes as one
-/// lane-batched group.
+/// point; rows pair crossbar and channel-local after reassembly.
 pub fn run(scale: &Scale) -> Fig19Report {
     let n = scale.scalability_bytes.next_multiple_of(8);
     let data: Vec<u8> = (0..n).map(|i| (i % 253) as u8).collect();
     let configs = sweep::grid(&SKEWS, &[false, true]);
-    let measured = sweep::run_lane_groups(&configs, configs.len(), |&(skew, channel_local)| {
-        prep_one(skew, &data, channel_local)
+    let measured = sweep::run_points(&configs, |&(skew, channel_local)| {
+        run_one(skew, &data, channel_local)
     });
     let points = sweep::rows_of(measured, 2)
         .into_iter()

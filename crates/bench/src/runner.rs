@@ -13,29 +13,6 @@ pub fn ssd_with(engine: EngineKind, n_cores: usize, adjusted: bool, channel_loca
     Ssd::new(cfg)
 }
 
-/// Loads `streams` as flash objects and builds the `scomp` request without
-/// running it — the preparation half of [`offload`], for sweeps that batch
-/// execution across points with [`crate::sweep::run_lane_groups`].
-///
-/// # Errors
-///
-/// Propagates SSD errors (the harness treats them as fatal).
-pub fn prepare_offload(
-    ssd: &mut Ssd,
-    bundle: KernelBundle,
-    streams: &[Vec<u8>],
-) -> Result<ScompRequest, SsdError> {
-    let mut lpa_lists = Vec::with_capacity(streams.len());
-    let mut lengths = Vec::with_capacity(streams.len());
-    for (i, data) in streams.iter().enumerate() {
-        // Spread stream base LPAs far apart.
-        let base = (i as u64) * (1 << 20);
-        lpa_lists.push(ssd.load_object(base, data)?);
-        lengths.push(data.len() as u64);
-    }
-    Ok(ScompRequest::new(bundle, lpa_lists).with_stream_bytes(lengths))
-}
-
 /// Loads `streams` as flash objects and runs `bundle` over them, returning
 /// the scomp result.
 ///
@@ -47,7 +24,15 @@ pub fn offload(
     bundle: KernelBundle,
     streams: &[Vec<u8>],
 ) -> Result<ScompResult, SsdError> {
-    let req = prepare_offload(ssd, bundle, streams)?;
+    let mut lpa_lists = Vec::with_capacity(streams.len());
+    let mut lengths = Vec::with_capacity(streams.len());
+    for (i, data) in streams.iter().enumerate() {
+        // Spread stream base LPAs far apart.
+        let base = (i as u64) * (1 << 20);
+        lpa_lists.push(ssd.load_object(base, data)?);
+        lengths.push(data.len() as u64);
+    }
+    let req = ScompRequest::new(bundle, lpa_lists).with_stream_bytes(lengths);
     ssd.scomp(&req)
 }
 
@@ -80,7 +65,7 @@ impl LoadedImage {
         let mut lpa_lists = Vec::with_capacity(streams.len());
         let mut lengths = Vec::with_capacity(streams.len());
         for (i, data) in streams.iter().enumerate() {
-            // Spread stream base LPAs far apart (matches prepare_offload).
+            // Spread stream base LPAs far apart (matches `offload`).
             let base = (i as u64) * (1 << 20);
             lpa_lists.push(ssd.load_object(base, data)?);
             lengths.push(data.len() as u64);

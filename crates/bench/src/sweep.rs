@@ -20,7 +20,6 @@
 //! reassembly, on the ordered result vector.
 
 use assasin_core::EngineKind;
-use assasin_ssd::{ScompRequest, ScompResult, Ssd, SsdError};
 
 /// One independent experiment configuration: a workload on one simulated
 /// architecture. Experiments build a vector of these (or of their own
@@ -81,46 +80,6 @@ where
     F: Fn(&P) -> R + Sync,
 {
     assasin_parallel::par_map(points, run)
-}
-
-/// Runs a sweep whose points are all `scomp` offloads, batching execution
-/// of up to `group` consecutive points through one lane-batched dispatch
-/// loop ([`assasin_ssd::scomp_group`]).
-///
-/// `prep` builds each point's own SSD and request — plus any per-point
-/// carry value the caller needs again after execution — and the group then
-/// executes together, so points running the *same kernel program* have
-/// their cores interleaved into SIMD-style lane batches instead of each
-/// point grinding through its own dispatch loop. Groups fan out across
-/// worker threads exactly like [`run_points`]; within a group, requests
-/// whose kernels are not lane-eligible fall back to the per-request epoch
-/// loop unchanged. Results come back in point order and are byte-identical
-/// to calling each point's `scomp` by itself (the lane executor retires
-/// every lane on the same deterministic schedule as the scalar
-/// interpreter).
-pub fn run_lane_groups<P, T, F>(
-    points: &[P],
-    group: usize,
-    prep: F,
-) -> Vec<(Result<ScompResult, SsdError>, T)>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(&P) -> (Ssd, ScompRequest, T) + Sync,
-{
-    assert!(group > 0, "lane groups need at least one point");
-    let chunks: Vec<&[P]> = points.chunks(group).collect();
-    let grouped = run_points(&chunks, |chunk| {
-        let mut prepped: Vec<(Ssd, ScompRequest, T)> = chunk.iter().map(&prep).collect();
-        let results =
-            assasin_ssd::scomp_group(prepped.iter_mut().map(|(ssd, req, _)| (&mut *ssd, &*req)));
-        results
-            .into_iter()
-            .zip(prepped)
-            .map(|(r, (_, _, carry))| (r, carry))
-            .collect::<Vec<_>>()
-    });
-    grouped.into_iter().flatten().collect()
 }
 
 /// Runs a sweep whose points share expensive setup within groups:

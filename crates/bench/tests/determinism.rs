@@ -4,20 +4,42 @@
 //! reassembled in input order, so thread count must not leak into any
 //! report.
 
-use assasin_bench::experiments::{fig13, fig_reliability};
+use assasin_bench::experiments::{fig13, fig16, fig19, fig_reliability};
 use assasin_bench::Scale;
 
-#[test]
-fn fig13_serial_and_parallel_reports_are_byte_identical() {
-    let scale = Scale::test_scale();
-    let serial = assasin_parallel::with_max_threads(1, || fig13::run_with(&scale, false));
-    let parallel = fig13::run_with(&scale, false);
+/// Asserts that `run` serializes to the same JSON with one worker thread
+/// as with the default thread budget.
+fn assert_thread_count_invisible<T: serde::Serialize>(name: &str, run: impl Fn() -> T) {
+    let serial = assasin_parallel::with_max_threads(1, &run);
+    let parallel = run();
     let serial_json = serde_json::to_string(&serial).expect("serialize serial report");
     let parallel_json = serde_json::to_string(&parallel).expect("serialize parallel report");
     assert_eq!(
         serial_json, parallel_json,
-        "parallel sweep must reproduce the serial report byte-for-byte"
+        "{name}: parallel sweep must reproduce the serial report byte-for-byte"
     );
+}
+
+#[test]
+fn fig13_serial_and_parallel_reports_are_byte_identical() {
+    let scale = Scale::test_scale();
+    assert_thread_count_invisible("fig13", || fig13::run_with(&scale, false));
+}
+
+/// The core-count sweep forks every point off one shared device image;
+/// its points fan out across workers like any other sweep.
+#[test]
+fn fig16_serial_and_parallel_reports_are_byte_identical() {
+    let scale = Scale::test_scale();
+    assert_thread_count_invisible("fig16", || fig16::run(&scale));
+}
+
+/// The skew sweep builds one device per (skew, architecture) point; its
+/// points fan out across workers like any other sweep.
+#[test]
+fn fig19_serial_and_parallel_reports_are_byte_identical() {
+    let scale = Scale::test_scale();
+    assert_thread_count_invisible("fig19", || fig19::run(&scale));
 }
 
 /// The fault-injection experiment's determinism guarantee: with a fixed

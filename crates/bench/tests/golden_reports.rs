@@ -34,9 +34,9 @@ fn hash_json<T: serde::Serialize>(report: &T) -> u64 {
 const GOLDEN_FIG13: u64 = 0x591b22e89ad67746;
 const GOLDEN_FIG14: u64 = 0x9d7d2d404949c717;
 const GOLDEN_FIG16: u64 = 0x23e16ba2d2ff54d3;
-/// Captured later than the other three, on the tree that still batched
-/// fig19's points through the lane executor, so it pins the skew sweep
-/// across the switch to per-point scalar execution.
+/// Captured later than the other three, while fig19's points still ran as
+/// one batched group, so it pins the skew sweep across the move to
+/// per-point execution.
 const GOLDEN_FIG19: u64 = 0x0bc419ffeb51df08;
 
 #[test]

@@ -551,8 +551,8 @@ static CODE_CACHE: OnceLock<Mutex<HashMap<CodeKey, CachedCode>>> = OnceLock::new
 const CODE_CACHE_CAP: usize = 4096;
 
 /// Dedupes [`predecode`] across cores and sweep points: identical programs
-/// lowered with identical latencies share one `Arc` (which also makes
-/// "same code?" an exact pointer comparison — see [`Core::shares_code`]).
+/// lowered with identical latencies share one `Arc`, so a sweep lowers
+/// each kernel once instead of once per core per point.
 fn predecode_cached(program: &Program, cfg: &CoreConfig) -> Arc<[Slot]> {
     let key = CodeKey {
         fingerprint: program.fingerprint(),
@@ -738,21 +738,6 @@ impl Core {
         self.hierarchy.as_ref()
     }
 
-    /// True when both cores run the *same* predecoded code object. Thanks
-    /// to the predecode cache this is an exact "identical program and
-    /// latency config" test in one pointer comparison — the lane batcher
-    /// keys on it.
-    pub fn shares_code(&self, other: &Core) -> bool {
-        Arc::ptr_eq(&self.code, &other.code)
-    }
-
-    /// The predecoded code's allocation identity — the lane batcher's
-    /// partition key (equal pointers ⇔ identical program and latency
-    /// config, via the predecode cache).
-    pub(crate) fn code_ptr(&self) -> *const () {
-        Arc::as_ptr(&self.code) as *const ()
-    }
-
     /// Serializes every predecode-independent field: architectural
     /// registers, `pc`, local clock, run state, scratchpad, streambuffer,
     /// the optional hierarchy/window/staging structures, and the cycle and
@@ -924,25 +909,11 @@ impl Core {
         Ok(())
     }
 
-    /// The slot at the current `pc`, or `None` past the end of the program
-    /// (which the scalar loop turns into a wedge — see
-    /// [`Core::wedge_pc_overrun`]).
-    #[inline(always)]
-    pub(crate) fn fetch_slot(&self) -> Option<Slot> {
-        self.code.get(self.pc as usize).copied()
-    }
-
-    /// Wedges with the same diagnostic the scalar fetch path produces when
-    /// `pc` runs past the end of the program.
-    pub(crate) fn wedge_pc_overrun(&mut self) {
-        self.wedge("pc past end of program".into());
-    }
-
     /// Flushes `n` batched retirements into the unconditional
     /// per-instruction counters (`mix.total` plus one base busy cycle
     /// each). The dispatch loops accumulate locally and flush once per
     /// call; these counters are only observed between epochs.
-    pub(crate) fn flush_retired(&mut self, n: u64) {
+    fn flush_retired(&mut self, n: u64) {
         self.mix.total += n;
         self.breakdown.busy += n;
     }
@@ -1000,10 +971,9 @@ impl Core {
         }
     }
 
-    /// The dispatch loop shared by [`Core::run`], [`Core::run_to_halt`]
-    /// and the lane executor: runs while the core is running and its clock
-    /// is below `cycle_limit`, then flushes the batched per-instruction
-    /// counters.
+    /// The dispatch loop shared by [`Core::run`] and [`Core::run_to_halt`]:
+    /// runs while the core is running and its clock is below
+    /// `cycle_limit`, then flushes the batched per-instruction counters.
     pub(crate) fn run_cycles(&mut self, env: &mut dyn StreamEnv, cycle_limit: u64) {
         let mut retired = 0u64;
         while self.state == CoreState::Running && self.cycle < cycle_limit {
@@ -1073,8 +1043,7 @@ impl Core {
     /// same instructions at the same cycles as unfused dispatch.
     ///
     /// Assumes the core is running — the state check is hoisted into the
-    /// dispatch loops ([`Core::run_cycles`], [`Core::step`], and the lane
-    /// executor in `lanes.rs`).
+    /// dispatch loops ([`Core::run_cycles`] and [`Core::step`]).
     #[inline(always)]
     pub(crate) fn exec_slot(&mut self, slot: Slot, env: &mut dyn StreamEnv, limit: u64) -> u32 {
         let issue_cycle = self.cycle;

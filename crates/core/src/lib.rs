@@ -25,13 +25,11 @@
 mod config;
 mod cpu;
 mod env;
-mod lanes;
 mod regions;
 mod udp;
 
 pub use config::{CoreConfig, EngineKind};
 pub use cpu::{Core, CoreState, InstrMix, RunOutcome};
 pub use env::{NullEnv, StreamEnv, SyntheticEnv};
-pub use lanes::{run_lanes, AnyExec, LaneGroup};
 pub use regions::{layout, DramWindow, PingPong};
 pub use udp::{KernelProfile, UdpLane};

@@ -63,8 +63,8 @@ impl Program {
     /// A stable 64-bit content fingerprint of the instruction sequence
     /// (FNV-1a over the instructions' `Hash` feed). Names are excluded:
     /// two programs with identical code share a fingerprint, which is what
-    /// predecode caching and lane grouping key on. Collisions are guarded
-    /// by full instruction comparison at the use sites.
+    /// the predecode cache keys on. Collisions are guarded by full
+    /// instruction comparison at the use site.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hash;
         let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);

@@ -4,19 +4,6 @@ use assasin_core::{CoreConfig, EngineKind};
 use assasin_flash::{FaultConfig, FlashGeometry, FlashTiming};
 use assasin_sim::SimDur;
 
-/// How the co-simulation loop picks the next deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CosimMode {
-    /// Jump the deadline straight to the next epoch boundary at or past
-    /// the earliest core wake-up, skipping rounds in which no core could
-    /// retire an instruction. Byte-identical to [`CosimMode::FixedEpoch`]
-    /// (see DESIGN.md) but much faster on flash-bound workloads.
-    EventDriven,
-    /// Advance the deadline by exactly one epoch per round. Kept as the
-    /// reference model for the equivalence property test.
-    FixedEpoch,
-}
-
 /// Configuration of one computational SSD.
 #[derive(Debug, Clone, Copy)]
 pub struct SsdConfig {
@@ -51,8 +38,6 @@ pub struct SsdConfig {
     pub firmware_poll: SimDur,
     /// Bounded-slack co-simulation epoch.
     pub epoch: SimDur,
-    /// Deadline advancement policy for the co-simulation loop.
-    pub cosim: CosimMode,
     /// Hang guard: abort with [`SsdError::Stuck`](crate::SsdError::Stuck)
     /// after this many co-simulation rounds.
     pub max_rounds: u64,
@@ -87,7 +72,6 @@ impl SsdConfig {
             channel_local: false,
             firmware_poll: SimDur::from_us(1),
             epoch: SimDur::from_us(10),
-            cosim: CosimMode::EventDriven,
             max_rounds: 50_000_000,
             sb_pages: None,
             fault: FaultConfig::disabled(),

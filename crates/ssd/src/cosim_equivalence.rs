@@ -1,18 +1,19 @@
 //! Property test pinning the event-driven co-simulation schedule to the
 //! fixed-epoch reference it replaced.
 //!
-//! [`CosimMode::EventDriven`] jumps the deadline over rounds in which no
-//! core could retire an instruction. Because all backend interaction is
+//! [`Ssd::scomp`] jumps the deadline over rounds in which no core could
+//! retire an instruction; [`Ssd::scomp_fixed_epoch`] advances it one epoch
+//! per round. Because all backend interaction is
 //! demand-driven from inside the cores' step functions, those skipped
 //! rounds have no side effects, so every observable of an `scomp` run —
 //! simulated elapsed time, per-core cycle counts and instruction mixes,
 //! output bytes, DRAM traffic, per-channel byte counts and bus busy time —
-//! must be identical under both modes, for any engine, kernel, stream
+//! must be identical under both schedules, for any engine, kernel, stream
 //! shape, and output target.
 
+use crate::{KernelBundle, ScompRequest, ScompResult, Ssd, SsdConfig};
 use assasin_core::EngineKind;
 use assasin_kernels::{raid, scan, stat};
-use assasin_ssd::{CosimMode, KernelBundle, ScompRequest, ScompResult, Ssd, SsdConfig};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random payload (no RNG: the proptest shim seeds
@@ -44,16 +45,14 @@ fn workload(kernel: usize, len: usize, salt: u64) -> (KernelBundle, Vec<Vec<u8>>
 }
 
 fn run(
-    mode: CosimMode,
+    skip_idle: bool,
     engine: EngineKind,
     kernel: usize,
     len: usize,
     salt: u64,
     flash_out: bool,
 ) -> ScompResult {
-    let mut cfg = SsdConfig::small_for_tests(engine);
-    cfg.cosim = mode;
-    let mut ssd = Ssd::new(cfg);
+    let mut ssd = Ssd::new(SsdConfig::small_for_tests(engine));
     let (bundle, streams) = workload(kernel, len, salt);
     let mut lpa_lists = Vec::new();
     let mut lengths = Vec::new();
@@ -67,7 +66,11 @@ fn run(
     if flash_out {
         req = req.with_flash_output(60_000);
     }
-    ssd.scomp(&req).expect("scomp")
+    if skip_idle {
+        ssd.scomp(&req).expect("scomp")
+    } else {
+        ssd.scomp_fixed_epoch(&req).expect("scomp")
+    }
 }
 
 proptest! {
@@ -86,8 +89,8 @@ proptest! {
         // The analytical UDP path models read-path offloads only.
         let flash_out = flash_out && engine != EngineKind::Udp;
         let len = len_tuples * 16;
-        let ev = run(CosimMode::EventDriven, engine, kernel, len, salt, flash_out);
-        let fx = run(CosimMode::FixedEpoch, engine, kernel, len, salt, flash_out);
+        let ev = run(true, engine, kernel, len, salt, flash_out);
+        let fx = run(false, engine, kernel, len, salt, flash_out);
 
         prop_assert_eq!(ev.elapsed, fx.elapsed);
         prop_assert_eq!(ev.bytes_in, fx.bytes_in);

@@ -11,8 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ROUNDS: AtomicU64 = AtomicU64::new(0);
 static EPOCHS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static LANE_SESSIONS: AtomicU64 = AtomicU64::new(0);
-static LANE_WIDTH_MAX: AtomicU64 = AtomicU64::new(0);
 static FORKS: AtomicU64 = AtomicU64::new(0);
 static FORK_PAGES_SHARED: AtomicU64 = AtomicU64::new(0);
 
@@ -30,23 +28,6 @@ pub fn cosim_counters() -> (u64, u64) {
 pub(crate) fn record_cosim(rounds: u64, skipped: u64) {
     ROUNDS.fetch_add(rounds, Ordering::Relaxed);
     EPOCHS_SKIPPED.fetch_add(skipped, Ordering::Relaxed);
-}
-
-/// Cumulative `(lane_sessions, widest_batch)` over all lane-batched scomp
-/// sessions so far in this process: how many requests bypassed the epoch
-/// loop via the lane executor, and the widest lane batch any of them
-/// formed. The perf harness records these per experiment to attribute the
-/// lane-batching win.
-pub fn lane_counters() -> (u64, u64) {
-    (
-        LANE_SESSIONS.load(Ordering::Relaxed),
-        LANE_WIDTH_MAX.load(Ordering::Relaxed),
-    )
-}
-
-pub(crate) fn record_lanes(width: u64) {
-    LANE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-    LANE_WIDTH_MAX.fetch_max(width, Ordering::Relaxed);
 }
 
 /// Cumulative `(forks, pages_shared)` over all

@@ -37,13 +37,15 @@
 
 mod backend;
 mod config;
+#[cfg(test)]
+mod cosim_equivalence;
 mod counters;
 mod error;
 mod request;
 mod ssd;
 
-pub use config::{CosimMode, SsdConfig};
-pub use counters::{cosim_counters, fork_counters, lane_counters};
+pub use config::SsdConfig;
+pub use counters::{cosim_counters, fork_counters};
 pub use error::SsdError;
 pub use request::{CoreReport, KernelBundle, OutputTarget, ScompRequest, ScompResult};
-pub use ssd::{scomp_group, set_lane_cap, PlainIoResult, Ssd, SsdImage};
+pub use ssd::{PlainIoResult, Ssd, SsdImage};

@@ -2,23 +2,21 @@
 
 use crate::backend::FlashOut;
 use crate::backend::{schedule_plans, split_ranges, Backend, PagePlan, StreamPlan};
-use crate::config::CosimMode;
-use crate::counters::{record_cosim, record_lanes};
+use crate::counters::record_cosim;
 use crate::request::OutputTarget;
 use crate::{CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError};
 use assasin_core::{
-    run_lanes, AnyExec, Core, CoreConfig, CoreState, DramWindow, EngineKind, KernelProfile,
-    LaneGroup, RunOutcome, StreamEnv, SyntheticEnv, UdpLane,
+    Core, CoreState, DramWindow, EngineKind, KernelProfile, RunOutcome, StreamEnv, SyntheticEnv,
+    UdpLane,
 };
 use assasin_flash::FlashArray;
 use assasin_ftl::{placement::Placement, Ftl, Lpa};
-use assasin_isa::{Instr, Program, Reg};
+use assasin_isa::Reg;
 use assasin_kernels::AccessStyle;
 use assasin_mem::{Dram, SharedDram};
 use assasin_sim::{Bandwidth, SimDur, SimTime, Timeline};
 use assasin_snap::{Decoder, Encoder, SnapError};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Snapshot container magic (`ASNP` little-endian).
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ASNP");
@@ -549,11 +547,10 @@ impl Ssd {
 
     /// Executes a computational-storage request.
     ///
-    /// Requests whose kernels only read streams (the lane-eligibility gate,
-    /// see [`lane_eligible`]) bypass the bounded-epoch co-simulation loop:
-    /// their cores run on the lane-batched executor, which produces
-    /// byte-identical results. Use [`scomp_group`] to additionally batch
-    /// lanes *across* requests that share a program.
+    /// Every interpreted engine runs the same path: validate and plan the
+    /// request, build its cores, drive them through the event-driven
+    /// bounded-epoch co-simulation loop, then flush outputs and assemble
+    /// the report. The analytical UDP engine is modeled separately.
     ///
     /// # Errors
     ///
@@ -570,11 +567,24 @@ impl Ssd {
             return self.scomp_udp(req, &stream_bytes);
         }
         let mut session = self.scomp_session(req)?;
-        if session.lane_ok {
-            session.run_lane()?;
-        } else {
-            session.run_epochs()?;
+        session.run_epochs::<true>()?;
+        session.finalize()
+    }
+
+    /// [`Ssd::scomp`] on the fixed-epoch schedule: the deadline advances
+    /// one epoch per round, never skipping idle rounds. The reference the
+    /// event-driven loop is proven byte-identical against. The analytical
+    /// UDP engine has no epoch loop and runs [`Ssd::scomp`] unchanged.
+    #[cfg(test)]
+    pub(crate) fn scomp_fixed_epoch(
+        &mut self,
+        req: &ScompRequest,
+    ) -> Result<ScompResult, SsdError> {
+        if self.cfg.engine == EngineKind::Udp {
+            return self.scomp(req);
         }
+        let mut session = self.scomp_session(req)?;
+        session.run_epochs::<false>()?;
         session.finalize()
     }
 
@@ -695,12 +705,9 @@ impl Ssd {
 
         Ok(Session {
             cfg: self.cfg,
-            core_cfg,
             style,
             output: req.output,
             dram: self.dram.clone(),
-            lane_ok: lane_cap() > 1 && lane_eligible(style, &program),
-            lane_width_used: 1,
             backend,
             cores,
             mem_out_offsets,
@@ -922,37 +929,32 @@ fn stuck_report(rounds: u64, deadline: SimTime, cores: &[Core], backend: &Backen
 }
 
 /// An in-flight `scomp` request: validated, planned, cores constructed and
-/// per-style setup done — everything except core execution and
-/// finalization. Splitting the request here lets [`scomp_group`] drive the
-/// execution phase of *several* requests through one lane-batched dispatch
-/// loop ([`run_lanes`]) before finalizing each one independently.
+/// per-style setup done — everything except core execution
+/// ([`Session::run_epochs`]) and finalization ([`Session::finalize`]).
 struct Session<'s> {
     cfg: SsdConfig,
-    core_cfg: CoreConfig,
     style: AccessStyle,
     output: OutputTarget,
     dram: SharedDram,
-    /// May this request bypass the epoch loop? See [`lane_eligible`].
-    lane_ok: bool,
-    /// Widest lane batch this session's cores ran in (1 = scalar).
-    lane_width_used: u64,
     backend: Backend<'s>,
     cores: Vec<Core>,
     mem_out_offsets: Vec<u64>,
 }
 
 impl Session<'_> {
-    /// The reference execution path: bounded-epoch co-simulation.
+    /// Bounded-epoch co-simulation: every running core advances to the
+    /// round's deadline, in core order, until all halt.
     ///
     /// Every backend interaction (refills, drains, bank assembly) is
     /// demand-driven from inside core execution, so a round in which no
-    /// core retires an instruction has zero side effects. The
-    /// event-driven mode exploits that: when every running core's next
-    /// retirement lies beyond the next epoch boundary, the deadline
-    /// jumps straight to the boundary covering the earliest wake-up.
-    /// Deadlines stay on the `k * epoch` progression, so grant ordering
-    /// — and every report byte — matches the fixed-epoch reference.
-    fn run_epochs(&mut self) -> Result<(), SsdError> {
+    /// core retires an instruction has zero side effects. With `SKIP_IDLE`
+    /// (the only schedule outside tests) the loop exploits that: when
+    /// every running core's next retirement lies beyond the next epoch
+    /// boundary, the deadline jumps straight to the boundary covering the
+    /// earliest wake-up. Deadlines stay on the `k * epoch` progression, so
+    /// grant ordering — and every report byte — matches the fixed-epoch
+    /// reference (`SKIP_IDLE = false`).
+    fn run_epochs<const SKIP_IDLE: bool>(&mut self) -> Result<(), SsdError> {
         let epoch = self.cfg.epoch;
         let mut deadline = SimTime::ZERO + epoch;
         let mut rounds: u64 = 0;
@@ -990,8 +992,8 @@ impl Session<'_> {
                 )));
             }
             let next = deadline + epoch;
-            deadline = match (self.cfg.cosim, min_wake) {
-                (CosimMode::EventDriven, Some(wake)) if wake > next => {
+            deadline = match min_wake {
+                Some(wake) if SKIP_IDLE && wake > next => {
                     let jumped = wake.round_up_to(epoch);
                     epochs_skipped += (jumped.as_ps() - next.as_ps()) / epoch.as_ps();
                     jumped
@@ -999,55 +1001,6 @@ impl Session<'_> {
                 _ => next,
             };
         }
-    }
-
-    /// Cycle budget equal to the epoch loop's round budget. The scalar loop
-    /// stops cores at deadline `(max_rounds + 1) * epoch` before declaring
-    /// the request stuck, so the lane path grants exactly that many cycles
-    /// and reports the same diagnostic at the same deadline.
-    fn lane_cycle_limit(&self) -> u64 {
-        self.cfg
-            .epoch
-            .as_ps()
-            .saturating_mul(self.cfg.max_rounds + 1)
-            / self.core_cfg.clock.period_ps()
-    }
-
-    /// Runs this session's own cores on the lane executor (no epoch loop).
-    fn run_lane(&mut self) -> Result<(), SsdError> {
-        let limit = self.lane_cycle_limit();
-        let exec = AnyExec::for_width(self.cores.len().min(lane_cap()));
-        let mut groups = [LaneGroup {
-            env: &mut self.backend,
-            cores: self.cores.as_mut_slice(),
-        }];
-        self.lane_width_used = run_lanes(&mut groups, exec, limit) as u64;
-        self.after_lane_run()
-    }
-
-    /// Maps post-lane-run core states onto the epoch loop's outcomes:
-    /// wedged cores error in core order; a core still running after the
-    /// full cycle budget reports the scalar loop's stuck diagnostic.
-    fn after_lane_run(&mut self) -> Result<(), SsdError> {
-        record_lanes(self.lane_width_used);
-        for core in &self.cores {
-            if let CoreState::Wedged(m) = core.state() {
-                return Err(SsdError::CoreWedged(m.clone()));
-            }
-        }
-        if self.cores.iter().any(|c| c.state() == &CoreState::Running) {
-            let rounds = self.cfg.max_rounds + 1;
-            record_cosim(rounds, 0);
-            let deadline = SimTime::from_ps(self.cfg.epoch.as_ps().saturating_mul(rounds));
-            return Err(SsdError::Stuck(stuck_report(
-                rounds,
-                deadline,
-                &self.cores,
-                &self.backend,
-            )));
-        }
-        record_cosim(1, 0);
-        Ok(())
     }
 
     /// Flushes residual output, moves Mem-style results to the output
@@ -1187,157 +1140,6 @@ impl Session<'_> {
             channel_busy,
         })
     }
-}
-
-/// May a request's cores run on the lane executor instead of the epoch
-/// loop?
-///
-/// The lane executor interleaves instructions from different cores (and,
-/// under [`scomp_group`], different requests) in an order the scalar epoch
-/// loop never produces, so it is only used when any interleaving yields
-/// byte-identical results. That holds when every core/environment
-/// interaction is commutative: `Stream`-style refills come from
-/// pre-scheduled per-`(core, stream)` arrival queues and only bump additive
-/// byte counters. Output drains are *not* commutative — they contend for
-/// the shared PCIe link and write-path flash in grant order — so any
-/// [`Instr::StreamStore`] (and the `PingPong`-only [`Instr::BufSwap`])
-/// disqualifies the program. Mem-style requests share the DRAM model and
-/// cache hierarchy and always take the epoch loop.
-fn lane_eligible(style: AccessStyle, program: &Program) -> bool {
-    style == AccessStyle::Stream
-        && !program
-            .iter()
-            .any(|i| matches!(i, Instr::StreamStore { .. } | Instr::BufSwap { .. }))
-}
-
-/// The process-wide lane cap cell: 0 = not yet initialized from the
-/// environment.
-static LANE_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Maximum lane width (clamped to `1..=8`; `1` keeps every request on the
-/// scalar epoch loop). Seeded from `ASSASIN_LANES` on first use and
-/// overridable via [`set_lane_cap`].
-///
-/// Defaults to `1`: with macro-op fusion the scalar dispatch loop is fast
-/// enough that lockstep lane batching measures *slower* on flash-fed
-/// streaming sessions (the batch multiplies the resident working set by
-/// its width), so the lane executor is an opt-in for the workloads where
-/// it wins — see `DESIGN.md` §13.
-fn lane_cap() -> usize {
-    match LANE_CAP.load(Ordering::Relaxed) {
-        0 => {
-            let cap = std::env::var("ASSASIN_LANES")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .map_or(1, |n| n.clamp(1, 8));
-            LANE_CAP.store(cap, Ordering::Relaxed);
-            cap
-        }
-        cap => cap,
-    }
-}
-
-/// Overrides the lane cap for subsequent `scomp`/[`scomp_group`] calls
-/// (clamped to `1..=8`): `1` forces scalar execution, `2..=8` enables the
-/// lane-batched executor at that width. The perf harness uses this to
-/// measure batched-vs-scalar wall time inside one process; the equivalence
-/// suite uses it to compare both paths directly. Takes precedence over
-/// `ASSASIN_LANES`.
-pub fn set_lane_cap(cap: usize) {
-    LANE_CAP.store(cap.clamp(1, 8), Ordering::Relaxed);
-}
-
-/// Executes a batch of computational-storage requests, lane-batching
-/// *across* requests: the lane-eligible sessions (see [`lane_eligible`])
-/// whose cores share a predecoded program image are driven in lockstep by
-/// one dispatch loop, amortizing fetch/decode over up to eight sweep
-/// points. Results are byte-identical to calling [`Ssd::scomp`] per
-/// request, in order; ineligible requests silently fall back to exactly
-/// that.
-///
-/// Each request borrows its own `Ssd`, so grouping never changes
-/// cross-request state: sessions only share the dispatch loop, never
-/// flash, DRAM, or PCIe models.
-pub fn scomp_group<'a>(
-    items: impl IntoIterator<Item = (&'a mut Ssd, &'a ScompRequest)>,
-) -> Vec<Result<ScompResult, SsdError>> {
-    enum Slot<'s> {
-        Done(Result<ScompResult, SsdError>),
-        // Boxed: a live session is ~0.7 KiB vs the ~150 B result.
-        Lane(Box<Session<'s>>),
-    }
-
-    // Phase 1: set up every request; run the ineligible ones to completion
-    // on the spot (their execution can't be shared anyway).
-    let mut slots: Vec<Slot<'a>> = Vec::new();
-    for (ssd, req) in items {
-        if ssd.cfg.engine == EngineKind::Udp {
-            slots.push(Slot::Done(ssd.scomp(req)));
-            continue;
-        }
-        match ssd.scomp_session(req) {
-            Err(e) => slots.push(Slot::Done(Err(e))),
-            Ok(mut session) if !session.lane_ok => {
-                let r = match session.run_epochs() {
-                    Ok(()) => session.finalize(),
-                    Err(e) => Err(e),
-                };
-                slots.push(Slot::Done(r));
-            }
-            Ok(session) => slots.push(Slot::Lane(Box::new(session))),
-        }
-    }
-
-    // Phase 2: one lane dispatch per distinct cycle budget. Sessions with
-    // different epoch/round/clock settings get different budgets and must
-    // not share a `run_lanes` call; within a budget, `run_lanes` itself
-    // only batches cores that share a program image.
-    let mut limits: Vec<u64> = slots
-        .iter()
-        .filter_map(|s| match s {
-            Slot::Lane(session) => Some(session.lane_cycle_limit()),
-            Slot::Done(_) => None,
-        })
-        .collect();
-    limits.sort_unstable();
-    limits.dedup();
-    for limit in limits {
-        let mut total_lanes = 0usize;
-        let mut groups: Vec<LaneGroup<'_>> = Vec::new();
-        for slot in slots.iter_mut() {
-            if let Slot::Lane(session) = slot {
-                if session.lane_cycle_limit() == limit {
-                    total_lanes += session.cores.len();
-                    groups.push(LaneGroup {
-                        env: &mut session.backend,
-                        cores: session.cores.as_mut_slice(),
-                    });
-                }
-            }
-        }
-        let exec = AnyExec::for_width(total_lanes.min(lane_cap()));
-        let width = run_lanes(&mut groups, exec, limit) as u64;
-        drop(groups);
-        for slot in slots.iter_mut() {
-            if let Slot::Lane(session) = slot {
-                if session.lane_cycle_limit() == limit {
-                    session.lane_width_used = width.max(1);
-                }
-            }
-        }
-    }
-
-    // Phase 3: per-session outcome triage and finalization, in order.
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Done(r) => r,
-            Slot::Lane(mut session) => match session.after_lane_run() {
-                Ok(()) => session.finalize(),
-                Err(e) => Err(e),
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]
