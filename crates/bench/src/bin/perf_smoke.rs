@@ -3,29 +3,27 @@
 //! Runs a handful of experiments at test scale two ways — fully serial
 //! (`with_max_threads(1)`; best of three reps per experiment, since this
 //! pass feeds the perf gate) and once under an explicit parallel thread
-//! budget (`RAYON_NUM_THREADS`, else
-//! `std::thread::available_parallelism`) — and writes per-experiment
-//! wall-clock plus a representative simulated throughput to
-//! `BENCH_perf_smoke.json`. Both thread counts are recorded so a "speedup"
-//! of ~1.0 on a single-core box reads as what it is, not as a
-//! parallelization regression. Every pass also records each experiment's copy-on-write device forks and the
-//! flash pages those forks inherited by reference — the prefix-reuse
-//! savings of the snapshot/fork sweep harness (DESIGN.md §14). A
-//! per-component section times the simulator's hot paths (interpreter,
-//! memory hierarchy, flash, streambuffer) in isolation — best of three
-//! reps, so one noisy rep on a shared box does not read as a regression —
-//! so a slowdown can be attributed before reaching for a profiler. An
-//! array pass runs the same 8-device workload serially and with
-//! per-device worker threads, asserts the two simulated reports are
+//! budget (`RAYON_NUM_THREADS`, else `std::thread::available_parallelism`)
+//! — and writes per-experiment wall-clock plus a representative simulated
+//! throughput to `BENCH_perf_smoke.json`. Both thread counts are recorded
+//! so a "speedup" of ~1.0 on a single-core box reads as what it is, not as
+//! a parallelization regression. Every pass also records each experiment's
+//! copy-on-write device forks and the flash pages those forks inherited by
+//! reference — the prefix-reuse savings of the snapshot/fork sweep harness
+//! (DESIGN.md §14). A per-component section times the simulator's hot paths
+//! (interpreter, memory hierarchy, flash, streambuffer) in isolation — best
+//! of three reps, so one noisy rep on a shared box does not read as a
+//! regression — so a slowdown can be attributed before reaching for a
+//! profiler. An array pass runs the same 8-device workload serially and
+//! with per-device worker threads, asserts the two simulated reports are
 //! byte-identical (the DESIGN.md §15 determinism contract), and records
 //! requested vs. granted workers, the wall-clock speedup, and the
-//! merge/root-stall/rebuild counters. A serving pass runs the
-//! multi-tenant front-end experiment once, snapshots the process-wide
-//! serving counters (submissions/admitted/rejected/completed plus
-//! memoization hits) around it, and records the per-tenant SLO rows —
-//! completions, rejections, SLO violations, p50/p99 — of the most
-//! saturated load point (DESIGN.md §16). Rerun after harness or
-//! simulator changes.
+//! merge/root-stall/rebuild counters. A serving pass runs the multi-tenant
+//! front-end experiment once, snapshots the process-wide serving counters
+//! (submissions/admitted/rejected/completed plus memoization hits) around
+//! it, and records the per-tenant SLO rows — completions, rejections, SLO
+//! violations, p50/p99 — of the most saturated load point (DESIGN.md §16).
+//! Rerun after harness or simulator changes.
 
 use assasin_array::{array_counters, ArrayConfig, ArrayExec, ArrayPlacement, SsdArray};
 use assasin_bench::experiments::{fig13, fig14, fig16, fig_reliability, fig_serving};

@@ -3,13 +3,12 @@
 //!
 //! [`Ssd::scomp`] jumps the deadline over rounds in which no core could
 //! retire an instruction; [`Ssd::scomp_fixed_epoch`] advances it one epoch
-//! per round. Because all backend interaction is
-//! demand-driven from inside the cores' step functions, those skipped
-//! rounds have no side effects, so every observable of an `scomp` run —
-//! simulated elapsed time, per-core cycle counts and instruction mixes,
-//! output bytes, DRAM traffic, per-channel byte counts and bus busy time —
-//! must be identical under both schedules, for any engine, kernel, stream
-//! shape, and output target.
+//! per round. Because all backend interaction is demand-driven from inside
+//! the cores' step functions, those skipped rounds have no side effects, so
+//! every observable of an `scomp` run — simulated elapsed time, per-core
+//! cycle counts and instruction mixes, output bytes, DRAM traffic,
+//! per-channel byte counts and bus busy time — must be identical under both
+//! schedules, for any engine, kernel, stream shape, and output target.
 
 use crate::{KernelBundle, ScompRequest, ScompResult, Ssd, SsdConfig};
 use assasin_core::EngineKind;
