@@ -704,17 +704,13 @@ impl SsdArray {
                 .iter()
                 .map(|(i, v)| (*i, v.as_slice()))
                 .collect();
-            let p = stripe_parity_fetch[s][0].map(|fi| &datas[fi]);
-            let q = stripe_parity_fetch[s][1].map(|fi| &datas[fi]);
-            let rebuilt: Vec<(usize, Vec<u8>)> = match (lost.as_slice(), p, q) {
-                ([x], Some(p), _) => vec![(*x, recover::recover_from_p(&survivors, p))],
-                ([x], None, Some(q)) => vec![(*x, recover::recover_from_q(&survivors, q, *x))],
-                ([x, y], Some(p), Some(q)) => {
-                    let (dx, dy) = recover::recover_two(&survivors, p, q, *x, *y);
-                    vec![(*x, dx), (*y, dy)]
-                }
-                _ => unreachable!("loss pattern validated against available syndromes"),
-            };
+            let p = stripe_parity_fetch[s][0].map(|fi| datas[fi].as_slice());
+            let q = stripe_parity_fetch[s][1].map(|fi| datas[fi].as_slice());
+            let rebuilt =
+                recover::recover_lost(&survivors, &lost, p, q).ok_or(ArrayError::DataLoss {
+                    object: id,
+                    chunk: stripe.first_chunk + lost[0],
+                })?;
             for (i, mut bytes) in rebuilt {
                 bytes.truncate(members[i].bytes as usize);
                 recovered.insert(stripe.first_chunk + i, bytes);
@@ -884,6 +880,9 @@ impl SsdArray {
             /// requested roles onto the rebuilt device.
             Stripe {
                 object: u64,
+                first_chunk: usize,
+                /// Member positions on failed devices, ascending.
+                lost: Vec<usize>,
                 member_fetch: Vec<Option<usize>>,
                 p_fetch: Option<usize>,
                 q_fetch: Option<usize>,
@@ -954,25 +953,27 @@ impl SsdArray {
                         .iter()
                         .map(|loc| (!self.failed[loc.device]).then(|| fetch(&mut fetches, loc)))
                         .collect();
-                    let lost = member_fetch.iter().filter(|f| f.is_none()).count();
+                    let lost: Vec<usize> = member_fetch
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, f)| f.is_none().then_some(i))
+                        .collect();
                     let usable: Vec<Option<usize>> = stripe
                         .parity
                         .iter()
                         .map(|loc| (!self.failed[loc.device]).then(|| fetch(&mut fetches, loc)))
                         .collect();
                     let avail = usable.iter().filter(|f| f.is_some()).count();
-                    if lost > avail {
-                        let first_lost = member_fetch
-                            .iter()
-                            .position(|f| f.is_none())
-                            .expect("lost > 0");
+                    if lost.len() > avail {
                         return Err(ArrayError::DataLoss {
                             object: *id,
-                            chunk: stripe.first_chunk + first_lost,
+                            chunk: stripe.first_chunk + lost[0],
                         });
                     }
                     pending.push(Pending::Stripe {
                         object: *id,
+                        first_chunk: stripe.first_chunk,
+                        lost,
                         member_fetch,
                         p_fetch: usable.first().copied().flatten(),
                         q_fetch: usable.get(1).copied().flatten(),
@@ -1008,6 +1009,8 @@ impl SsdArray {
                 }
                 Pending::Stripe {
                     object,
+                    first_chunk,
+                    lost,
                     member_fetch,
                     p_fetch,
                     q_fetch,
@@ -1015,7 +1018,7 @@ impl SsdArray {
                     out,
                 } => {
                     let len = *len as usize;
-                    // Reconstruct the full, padded member set.
+                    // Zero-pad the survivors to the stripe length.
                     let survivors_padded: Vec<(usize, Vec<u8>)> = member_fetch
                         .iter()
                         .enumerate()
@@ -1030,61 +1033,37 @@ impl SsdArray {
                         .iter()
                         .map(|(i, v)| (*i, v.as_slice()))
                         .collect();
-                    let lost: Vec<usize> = member_fetch
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, f)| f.is_none().then_some(i))
-                        .collect();
                     let p = p_fetch.map(|fi| datas[fi].as_slice());
                     let q = q_fetch.map(|fi| datas[fi].as_slice());
-                    let rebuilt: Vec<(usize, Vec<u8>)> = match (lost.as_slice(), p, q) {
-                        ([], _, _) => Vec::new(),
-                        ([x], Some(p), _) => {
-                            vec![(*x, recover::recover_from_p(&survivors, p))]
-                        }
-                        ([x], None, Some(q)) => {
-                            vec![(*x, recover::recover_from_q(&survivors, q, *x))]
-                        }
-                        ([x, y], Some(p), Some(q)) => {
-                            let (dx, dy) = recover::recover_two(&survivors, p, q, *x, *y);
-                            vec![(*x, dx), (*y, dy)]
-                        }
-                        _ => {
-                            return Err(ArrayError::DataLoss {
-                                object: *object,
-                                chunk: lost[0],
-                            })
-                        }
+                    let data_loss = |i: usize| ArrayError::DataLoss {
+                        object: *object,
+                        chunk: first_chunk + i,
                     };
-                    let member = |i: usize| -> &[u8] {
-                        match member_fetch[i] {
-                            Some(fi) => datas[fi].as_slice(),
+                    let rebuilt = recover::recover_lost(&survivors, lost, p, q)
+                        .ok_or_else(|| data_loss(lost[0]))?;
+                    // The full member set: fetched survivors plus the
+                    // reconstructed (zero-padded) lost members.
+                    let members: Vec<&[u8]> = member_fetch
+                        .iter()
+                        .enumerate()
+                        .map(|(i, f)| match f {
+                            Some(fi) => Ok(datas[*fi].as_slice()),
                             None => rebuilt
                                 .iter()
                                 .find(|(j, _)| *j == i)
                                 .map(|(_, v)| v.as_slice())
-                                .expect("lost member reconstructed"),
-                        }
-                    };
+                                .ok_or_else(|| data_loss(i)),
+                        })
+                        .collect::<Result<_, _>>()?;
                     for &(role, dst, bytes) in out {
-                        let padded: Vec<Vec<u8>>;
-                        let payload: Vec<u8> = if role < member_fetch.len() {
-                            member(role)[..bytes as usize].to_vec()
+                        // A lost parity chunk is recomputed as only the
+                        // syndrome it holds.
+                        let payload: Vec<u8> = if role < members.len() {
+                            members[role][..bytes as usize].to_vec()
+                        } else if role == members.len() {
+                            recover::p_parity(&members, len)
                         } else {
-                            padded = (0..member_fetch.len())
-                                .map(|i| {
-                                    let mut v = vec![0u8; len];
-                                    let s = member(i);
-                                    v[..s.len().min(len)].copy_from_slice(&s[..s.len().min(len)]);
-                                    v
-                                })
-                                .collect();
-                            let streams: Vec<&[u8]> = padded.iter().map(|v| v.as_slice()).collect();
-                            if role == member_fetch.len() {
-                                recover::p_parity(&streams, len)
-                            } else {
-                                recover::pq_parity(&streams, len).1
-                            }
+                            recover::q_parity(&members, len)
                         };
                         chunks += 1;
                         bytes_written += payload.len() as u64;

@@ -166,6 +166,48 @@ fn raid6_rebuild_restores_full_redundancy() {
 }
 
 #[test]
+fn raid6_rebuilt_q_reconstructs_with_p_down() {
+    let data = pattern(8192 * 8 + 512, 10);
+    let mut a = array(5, ArrayPlacement::Raid6);
+    a.store_object(3, &data).expect("store");
+    a.fail_device(4);
+    let rebuilt = a.rebuild_device(4).expect("rebuild the Q drive");
+    assert_eq!(rebuilt.chunks, 3, "one Q chunk per stripe");
+    // With a data device and the P drive down, only the rebuilt Q can
+    // reconstruct the lost members.
+    a.fail_device(0);
+    a.fail_device(3);
+    let read = a.read_object(3).expect("read through the rebuilt Q");
+    assert_eq!(read.data, data);
+    assert!(read.degraded_chunks > 0);
+}
+
+#[test]
+fn raid6_three_failures_lose_data_on_read_and_rebuild() {
+    let mut a = array(5, ArrayPlacement::Raid6);
+    a.store_object(2, &pattern(8192 * 8, 11)).expect("store");
+    // Data devices 1 and 2 and the P drive: stripe 0 lost members 1 and
+    // 2 with only Q left.
+    for d in [1, 2, 3] {
+        a.fail_device(d);
+    }
+    let expect_loss = |err: ArrayError| {
+        assert!(
+            matches!(
+                err,
+                ArrayError::DataLoss {
+                    object: 2,
+                    chunk: 1
+                }
+            ),
+            "got {err}"
+        );
+    };
+    expect_loss(a.read_object(2).unwrap_err());
+    expect_loss(a.rebuild_device(1).unwrap_err());
+}
+
+#[test]
 fn rebuild_requires_a_failed_device() {
     let mut a = array(4, ArrayPlacement::Raid4);
     a.store_object(1, &pattern(8192, 8)).expect("store");

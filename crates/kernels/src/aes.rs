@@ -23,16 +23,16 @@ pub fn te_base(i: u32) -> u32 {
 // ----------------------------------------------------------------- tables
 
 /// AES field doubling (polynomial 0x11B).
-fn xtime(a: u8) -> u8 {
-    let hi = a & 0x80 != 0;
-    let mut r = a << 1;
-    if hi {
-        r ^= 0x1B;
+const fn xtime(a: u8) -> u8 {
+    let r = a << 1;
+    if a & 0x80 != 0 {
+        r ^ 0x1B
+    } else {
+        r
     }
-    r
 }
 
-fn gf_mul(a: u8, mut b: u8) -> u8 {
+const fn gf_mul(a: u8, mut b: u8) -> u8 {
     let mut acc = 0;
     let mut cur = a;
     while b != 0 {
@@ -45,57 +45,70 @@ fn gf_mul(a: u8, mut b: u8) -> u8 {
     acc
 }
 
-/// The AES S-box, generated from the field inverse + affine transform.
-pub fn sbox() -> [u8; 256] {
-    // Build inverses by brute force (tiny, done once).
-    let mut inv = [0u8; 256];
-    for a in 1..=255u8 {
-        for b in 1..=255u8 {
-            if gf_mul(a, b) == 1 {
-                inv[a as usize] = b;
-                break;
-            }
+/// `a^254` by square-and-multiply: the field inverse, since `a^255 = 1`
+/// for nonzero `a`, and 0 for `a = 0` as the S-box defines it.
+const fn gf_inv(a: u8) -> u8 {
+    let mut acc = 1u8;
+    let mut base = a;
+    let mut n = 254u32;
+    while n > 0 {
+        if n & 1 != 0 {
+            acc = gf_mul(acc, base);
         }
+        base = gf_mul(base, base);
+        n >>= 1;
     }
+    acc
+}
+
+/// The S-box: the field inverse followed by the affine transform.
+const fn build_sbox() -> [u8; 256] {
     let mut s = [0u8; 256];
-    for x in 0..256 {
-        let i = inv[x];
-        let mut y = i;
-        let mut res = i;
-        for _ in 0..4 {
-            y = y.rotate_left(1);
-            res ^= y;
-        }
-        s[x] = res ^ 0x63;
+    let mut x = 0;
+    while x < 256 {
+        let i = gf_inv(x as u8);
+        s[x] = i ^ i.rotate_left(1) ^ i.rotate_left(2) ^ i.rotate_left(3) ^ i.rotate_left(4) ^ 0x63;
+        x += 1;
     }
     s
 }
 
-/// T-table `t` (0–3) in little-endian word encoding, matching the kernel's
-/// LE word loads.
-pub fn te_table(t: u32) -> [u32; 256] {
-    let s = sbox();
-    let mut out = [0u32; 256];
-    for (x, slot) in out.iter_mut().enumerate() {
-        let sv = s[x];
-        // Column contribution of a SubBytes output in row `t`:
-        // MixColumns of [..0, sv at row t, 0..].
-        let mut col = [0u8; 4];
-        for (r, c) in col.iter_mut().enumerate() {
-            let coef = MIX[r][t as usize];
-            *c = gf_mul(coef, sv);
+/// T-table `t` holds, for each S-box output, the MixColumns column it
+/// contributes from row `t`, in little-endian word encoding matching the
+/// kernel's LE word loads.
+const fn build_te() -> [[u32; 256]; 4] {
+    let s = build_sbox();
+    let mut te = [[0u32; 256]; 4];
+    let mut t = 0;
+    while t < 4 {
+        let mut x = 0;
+        while x < 256 {
+            let mut col = [0u8; 4];
+            let mut r = 0;
+            while r < 4 {
+                col[r] = gf_mul(MIX[r][t], s[x]);
+                r += 1;
+            }
+            te[t][x] = u32::from_le_bytes(col);
+            x += 1;
         }
-        *slot = u32::from_le_bytes(col);
+        t += 1;
     }
-    out
+    te
 }
+
+/// The AES S-box, computed at compile time.
+pub static SBOX: [u8; 256] = build_sbox();
+
+/// T-tables 0–3 (rounds 1–9), computed at compile time.
+pub static TE: [[u32; 256]; 4] = build_te();
 
 /// The MixColumns matrix.
 const MIX: [[u8; 4]; 4] = [[2, 3, 1, 1], [1, 2, 3, 1], [1, 1, 2, 3], [3, 1, 1, 2]];
 
 /// Expands a 16-byte key into 44 round-key words (LE column encoding).
 pub fn key_schedule(key: &[u8; 16]) -> [u32; 44] {
-    let s = sbox();
+    let s = &SBOX;
     let mut w = [[0u8; 4]; 44];
     for i in 0..4 {
         w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
@@ -133,10 +146,10 @@ pub fn scratchpad_image(key: &[u8; 16]) -> Vec<(u32, Vec<u8>)> {
         .flat_map(|w| w.to_le_bytes())
         .collect();
     image.push((KEY_BASE, keys));
-    image.push((SBOX_BASE, sbox().to_vec()));
-    for t in 0..4 {
-        let bytes: Vec<u8> = te_table(t).iter().flat_map(|w| w.to_le_bytes()).collect();
-        image.push((te_base(t), bytes));
+    image.push((SBOX_BASE, SBOX.to_vec()));
+    for (t, table) in TE.iter().enumerate() {
+        let bytes: Vec<u8> = table.iter().flat_map(|w| w.to_le_bytes()).collect();
+        image.push((te_base(t as u32), bytes));
     }
     image
 }
@@ -145,8 +158,12 @@ pub fn scratchpad_image(key: &[u8; 16]) -> Vec<(u32, Vec<u8>)> {
 
 /// Golden byte-wise AES-128 block encryption.
 pub fn encrypt_block(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
-    let s = sbox();
-    let keys = key_schedule(key);
+    encrypt_with(&key_schedule(key), block)
+}
+
+/// Encrypts one block under an already expanded key schedule.
+fn encrypt_with(keys: &[u32; 44], block: &[u8; 16]) -> [u8; 16] {
+    let s = &SBOX;
     // state[r][c]
     let mut st = [[0u8; 4]; 4];
     for (i, &b) in block.iter().enumerate() {
@@ -204,8 +221,9 @@ pub fn encrypt_block(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
 /// Golden ECB encryption of a whole buffer (length a multiple of 16).
 pub fn golden(key: &[u8; 16], data: &[u8]) -> Vec<u8> {
     assert_eq!(data.len() % 16, 0, "input must be block-padded");
+    let keys = key_schedule(key);
     data.chunks_exact(16)
-        .flat_map(|b| encrypt_block(key, b.try_into().expect("16-byte block")))
+        .flat_map(|b| encrypt_with(&keys, b.try_into().expect("16-byte block")))
         .collect()
 }
 
@@ -305,13 +323,43 @@ mod tests {
         0x0f,
     ];
 
+    /// The S-box derived by searching for each inverse: the reference
+    /// the compile-time `a^254` derivation is checked against.
+    fn sbox_by_search() -> [u8; 256] {
+        let mut inv = [0u8; 256];
+        for a in 1..=255u8 {
+            for b in 1..=255u8 {
+                if gf_mul(a, b) == 1 {
+                    inv[a as usize] = b;
+                    break;
+                }
+            }
+        }
+        let mut s = [0u8; 256];
+        for x in 0..256 {
+            let i = inv[x];
+            let mut y = i;
+            let mut res = i;
+            for _ in 0..4 {
+                y = y.rotate_left(1);
+                res ^= y;
+            }
+            s[x] = res ^ 0x63;
+        }
+        s
+    }
+
     #[test]
     fn sbox_known_values() {
-        let s = sbox();
-        assert_eq!(s[0x00], 0x63);
-        assert_eq!(s[0x01], 0x7c);
-        assert_eq!(s[0x53], 0xed);
-        assert_eq!(s[0xff], 0x16);
+        assert_eq!(SBOX[0x00], 0x63);
+        assert_eq!(SBOX[0x01], 0x7c);
+        assert_eq!(SBOX[0x53], 0xed);
+        assert_eq!(SBOX[0xff], 0x16);
+    }
+
+    #[test]
+    fn const_sbox_matches_search_derivation() {
+        assert_eq!(SBOX, sbox_by_search());
     }
 
     #[test]

@@ -5,42 +5,80 @@
 //! standard polynomial `x^8 + x^4 + x^3 + x^2 + 1` (0x11D), `g = 2`. The
 //! kernels keep per-stream multiply-by-constant tables in the scratchpad;
 //! this module generates those tables and provides the golden arithmetic.
+//!
+//! Every operation goes through log/exp tables built at compile time:
+//! `g` generates the multiplicative group, so `a · b = g^(log a + log b)`.
 
 /// The RAID6 field polynomial (reduced, low 8 bits of 0x11D).
 pub const POLY: u8 = 0x1D;
 
-/// Multiplies two field elements.
-pub fn mul(mut a: u8, mut b: u8) -> u8 {
-    let mut acc = 0u8;
-    while b != 0 {
-        if b & 1 != 0 {
-            acc ^= a;
-        }
-        let hi = a & 0x80 != 0;
-        a <<= 1;
+/// `EXP[n] = g^n`. Doubled past the group order so `LOG[a] + LOG[b]`
+/// (at most 508) indexes it without a reduction.
+static EXP: [u8; 512] = build_exp();
+/// `LOG[g^n] = n` for nonzero elements; `LOG[0]` is unused.
+static LOG: [u8; 256] = build_log();
+
+const fn build_exp() -> [u8; 512] {
+    let mut exp = [0u8; 512];
+    let mut x = 1u8;
+    let mut n = 0;
+    while n < 512 {
+        exp[n] = x;
+        let hi = x & 0x80 != 0;
+        x <<= 1;
         if hi {
-            a ^= POLY;
+            x ^= POLY;
         }
-        b >>= 1;
+        n += 1;
     }
-    acc
+    exp
+}
+
+const fn build_log() -> [u8; 256] {
+    let exp = build_exp();
+    let mut log = [0u8; 256];
+    let mut n = 0;
+    while n < 255 {
+        log[exp[n] as usize] = n as u8;
+        n += 1;
+    }
+    log
+}
+
+/// Multiplies two field elements.
+pub fn mul(a: u8, b: u8) -> u8 {
+    if a == 0 || b == 0 {
+        return 0;
+    }
+    EXP[LOG[a as usize] as usize + LOG[b as usize] as usize]
 }
 
 /// `g^n` for the RAID6 generator `g = 2`.
 pub fn gen_pow(n: u32) -> u8 {
-    let mut v = 1u8;
-    for _ in 0..n {
-        v = mul(v, 2);
-    }
-    v
+    EXP[(n % 255) as usize]
+}
+
+/// Multiplicative inverse: `g^(255 - log a)`.
+///
+/// # Panics
+///
+/// Panics on `a == 0`, which has no inverse.
+pub fn inv(a: u8) -> u8 {
+    assert!(a != 0, "0 has no inverse in GF(256)");
+    EXP[255 - LOG[a as usize] as usize]
 }
 
 /// The 256-entry multiply-by-`c` table the kernels preload into the
-/// scratchpad.
+/// scratchpad. Host-side coding multiplies through the same rows, one
+/// lookup per byte.
 pub fn mul_table(c: u8) -> [u8; 256] {
     let mut t = [0u8; 256];
-    for (i, slot) in t.iter_mut().enumerate() {
-        *slot = mul(c, i as u8);
+    if c == 0 {
+        return t;
+    }
+    let log_c = LOG[c as usize] as usize;
+    for (slot, &log_i) in t.iter_mut().zip(LOG.iter()).skip(1) {
+        *slot = EXP[log_c + log_i as usize];
     }
     t
 }
@@ -48,6 +86,49 @@ pub fn mul_table(c: u8) -> [u8; 256] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bit-serial shift-and-add multiply: the reference the tables are
+    /// checked against.
+    pub(crate) fn mul_ref(mut a: u8, mut b: u8) -> u8 {
+        let mut acc = 0u8;
+        while b != 0 {
+            if b & 1 != 0 {
+                acc ^= a;
+            }
+            let hi = a & 0x80 != 0;
+            a <<= 1;
+            if hi {
+                a ^= POLY;
+            }
+            b >>= 1;
+        }
+        acc
+    }
+
+    #[test]
+    fn table_mul_matches_bit_serial_for_every_pair() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(mul(a, b), mul_ref(a, b), "{a} * {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_inverts_every_nonzero_element() {
+        for a in 1..=255u8 {
+            assert_eq!(mul_ref(a, inv(a)), 1, "a = {a}");
+        }
+    }
+
+    #[test]
+    fn gen_pow_matches_repeated_doubling() {
+        let mut v = 1u8;
+        for n in 0..600u32 {
+            assert_eq!(gen_pow(n), v, "g^{n}");
+            v = mul_ref(v, 2);
+        }
+    }
 
     #[test]
     fn field_axioms_spot_checks() {
@@ -97,10 +178,10 @@ mod tests {
 
     #[test]
     fn tables_match_mul() {
-        for &c in &[0u8, 1, 2, 4, 0x1D, 0xFF] {
+        for c in 0..=255u8 {
             let t = mul_table(c);
             for i in 0..=255u8 {
-                assert_eq!(t[i as usize], mul(c, i));
+                assert_eq!(t[i as usize], mul_ref(c, i));
             }
         }
     }
