@@ -2,12 +2,14 @@
 //!
 //! The hot-path refactors (predecoded dispatch, flattened caches, the
 //! streambuffer word fast path) must keep every report bit-identical:
-//! these tests lock the serialized fig13/fig14/fig16/fig19/fig_array
-//! reports at test scale against hashes captured before the refactor. Any
+//! these tests lock the serialized fig13/fig14/fig16/fig19/fig_array,
+//! reliability and fig_serving reports at test scale against hashes captured before the refactor. Any
 //! timing-model or counter drift shows up here as a hash mismatch long
 //! before anyone would spot it in a figure.
 
-use assasin_bench::experiments::{fig13, fig14, fig16, fig19, fig_array};
+use assasin_bench::experiments::{
+    fig13, fig14, fig16, fig19, fig_array, fig_reliability, fig_serving,
+};
 use assasin_bench::Scale;
 
 /// FNV-1a 64-bit over the serialized report (no external hash crates in
@@ -42,6 +44,11 @@ const GOLDEN_FIG19: u64 = 0x0bc419ffeb51df08;
 /// the RAID4/RAID6 store, degraded-read and rebuild paths across that
 /// change. Serial and threaded execution give the same bytes.
 const GOLDEN_FIG_ARRAY: u64 = 0x214f2b916bfb9855;
+/// Captured before the process-wide flash and serve counters were
+/// deleted, so they pin the fault-injected read/program paths and the
+/// serve event loop across that change.
+const GOLDEN_RELIABILITY: u64 = 0xec57442ea6254068;
+const GOLDEN_FIG_SERVING: u64 = 0x4d55d07eb0933ec7;
 
 #[test]
 fn fig13_report_matches_pre_refactor_bytes() {
@@ -78,5 +85,25 @@ fn fig_array_report_matches_pre_refactor_bytes() {
     assert_eq!(
         h, GOLDEN_FIG_ARRAY,
         "fig_array report JSON drifted from golden"
+    );
+}
+
+#[test]
+fn reliability_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig_reliability::run(&Scale::test_scale()));
+    println!("reliability hash: {h:#018x}");
+    assert_eq!(
+        h, GOLDEN_RELIABILITY,
+        "reliability report JSON drifted from golden"
+    );
+}
+
+#[test]
+fn fig_serving_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig_serving::run(&Scale::test_scale()));
+    println!("fig_serving hash: {h:#018x}");
+    assert_eq!(
+        h, GOLDEN_FIG_SERVING,
+        "fig_serving report JSON drifted from golden"
     );
 }
