@@ -9,7 +9,6 @@ use assasin_sim::{HostLink, SimDur, SimTime};
 use assasin_ssd::{KernelBundle, ScompRequest, SsdImage};
 
 use crate::config::ArrayConfig;
-use crate::counters;
 use crate::engine::{
     merge_completions, Completion, DeviceCmd, DeviceReply, DeviceSource, Engine, ExecError,
 };
@@ -320,8 +319,8 @@ impl SsdArray {
         }
     }
 
-    /// Folds this operation's link accounting into the cumulative stats
-    /// and the process counters, then returns the per-op report.
+    /// Folds this operation's link accounting into the cumulative stats,
+    /// then returns the per-op report.
     fn finish_op(&mut self, merged_events: u64) -> LinkReport {
         let lanes = self.link.lane_stats().to_vec();
         let report = LinkReport {
@@ -337,7 +336,6 @@ impl SsdArray {
         self.stats.link_transfers += report.transfers;
         self.stats.link_stalled += report.stalled;
         self.stats.merged_events += merged_events;
-        counters::record_op(merged_events, report.stalled.as_ps());
         report
     }
 
@@ -1087,7 +1085,6 @@ impl SsdArray {
         stats.pages_written += pages_written;
         self.stats.rebuild_bytes_read += bytes_read;
         self.stats.rebuild_bytes_written += bytes_written;
-        counters::record_rebuild(bytes_written);
         Ok(RebuildReport {
             device,
             chunks,

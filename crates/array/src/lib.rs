@@ -38,7 +38,6 @@
 
 mod array;
 mod config;
-mod counters;
 mod engine;
 mod error;
 mod placement;
@@ -49,6 +48,5 @@ pub use array::{
     SsdArray, StoreReport,
 };
 pub use config::{ArrayConfig, ArrayExec};
-pub use counters::array_counters;
 pub use error::ArrayError;
 pub use placement::{ArrayPlacement, ChunkLoc, StoredObject, StripeLoc};

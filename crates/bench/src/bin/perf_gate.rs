@@ -14,6 +14,9 @@
 //! perf_gate <baseline.json> [fresh.json]    # fresh defaults to BENCH_perf_smoke.json
 //! ```
 //!
+//! Exit 0 passes, 1 fails the gate, and 2 is bad input: a missing or
+//! malformed report, or a malformed `ASSASIN_PERF_GATE_PCT`.
+//!
 //! Only serial wall times are gated: the parallel pass depends on the
 //! runner's core count, and component loops are single-threaded already.
 //! Wall-clock on shared CI runners is noisy, which is why the default
@@ -48,10 +51,12 @@ fn threshold_pct() -> f64 {
     }
 }
 
+/// A report, or exit 2 with the reason.
 fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_gate: cannot read {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("perf_gate: bad JSON in {path}: {e}"))
+    assasin_bench::gate::load(path).unwrap_or_else(|e| {
+        eprintln!("perf_gate: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() -> ExitCode {

@@ -100,6 +100,13 @@ fn compare_section(out: &mut GateOutcome, baseline: &Value, fresh: &Value, s: &S
     }
 }
 
+/// Reads and parses one perf-smoke report. A missing file or malformed
+/// JSON is an error naming the path, not a panic.
+pub fn load(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("bad JSON in {path}: {e}"))
+}
+
 /// Compares a fresh perf-smoke report against the committed baseline at
 /// the given threshold (percent). Component throughput may not drop,
 /// serial wall time may not grow, and the entry sets must match exactly
@@ -135,6 +142,26 @@ mod tests {
 
     fn empty() -> Value {
         serde_json::from_str("{}").expect("valid test JSON")
+    }
+
+    #[test]
+    fn missing_file_is_an_error() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/no-such-report.json");
+        let err = load(path).expect_err("missing file must not load");
+        assert!(
+            err.starts_with("cannot read ") && err.contains(path),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn malformed_json_is_an_error() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let err = load(path).expect_err("TOML is not JSON");
+        assert!(
+            err.starts_with("bad JSON in ") && err.contains(path),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The multi-channel flash array.
 
-use crate::counters;
 use crate::fault::{FaultConfig, PageHealth, ReliabilityStats};
 use crate::{FlashChip, FlashError, FlashGeometry, FlashTiming, PhysPageAddr};
 use assasin_sim::{SimDur, SimTime, Timeline};
@@ -172,7 +171,6 @@ impl FlashArray {
                     self.rel.page_reads += 1;
                     self.rel.uncorrectable += 1;
                     self.rel.read_retries += fault.read_retry_limit as u64;
-                    counters::record_uncorrectable(fault.read_retry_limit as u64);
                 }
                 return Err(e);
             }
@@ -183,7 +181,6 @@ impl FlashArray {
             if health.corrected() {
                 self.rel.ecc_corrected += 1;
             }
-            counters::record_read(health.retries() as u64, health.corrected());
         }
         let bus_grant = channel.bus.acquire(sensed, xfer);
         channel.stats.bytes_read += page_bytes as u64;
@@ -242,7 +239,6 @@ impl FlashArray {
                 if let FlashError::ProgramFailed(_) = e {
                     self.rel.program_fails += 1;
                     self.rel.grown_bad_blocks += 1;
-                    counters::record_grown_bad();
                 }
                 return Err(e);
             }
@@ -283,7 +279,6 @@ impl FlashArray {
                 if let FlashError::EraseFailed { .. } = e {
                     self.rel.erase_fails += 1;
                     self.rel.grown_bad_blocks += 1;
-                    counters::record_grown_bad();
                 }
                 Err(e)
             }
@@ -345,15 +340,6 @@ impl FlashArray {
                 chip.reset_time();
             }
         }
-    }
-
-    /// Total programmed pages across every chip (fork-cost accounting).
-    pub fn written_pages(&self) -> u64 {
-        self.channels
-            .iter()
-            .flat_map(|ch| ch.chips.iter())
-            .map(|c| c.written_pages() as u64)
-            .sum()
     }
 
     /// Serializes every channel (bus schedule, traffic stats, chips) and

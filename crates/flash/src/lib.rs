@@ -32,7 +32,6 @@
 
 mod array;
 mod chip;
-mod counters;
 mod error;
 mod fault;
 mod geometry;
@@ -40,7 +39,6 @@ mod timing;
 
 pub use array::{ChannelStats, FlashArray};
 pub use chip::FlashChip;
-pub use counters::{reliability_counters, ReliabilityCounters};
 pub use error::FlashError;
 pub use fault::{FaultConfig, PageHealth, ReliabilityStats};
 pub use geometry::{FlashGeometry, PhysPageAddr};

@@ -29,7 +29,6 @@
 //! ([`config`]).
 
 pub mod config;
-pub mod counters;
 pub mod error;
 pub mod instance;
 pub mod loadgen;
@@ -42,7 +41,6 @@ pub use config::{
     arrival_from_env, depth_from_env, seed_from_env, tenants_from_env, ArrivalKind, ArrivalModel,
     ServeConfig, TenantSpec,
 };
-pub use counters::serve_counters;
 pub use error::ServeError;
 pub use instance::{ArrayInstance, Instance, ServiceProfile, SsdInstance};
 pub use loadgen::{SplitMix64, TenantLoad};

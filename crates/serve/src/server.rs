@@ -30,7 +30,6 @@
 //! serving determinism suite pin that this is invisible in the report.
 
 use crate::config::ServeConfig;
-use crate::counters::{record_completion, record_submission};
 use crate::error::ServeError;
 use crate::instance::{Instance, ServiceProfile};
 use crate::loadgen::TenantLoad;
@@ -127,16 +126,15 @@ pub fn serve(instance: &mut dyn Instance, cfg: &ServeConfig) -> Result<ServeRepo
             sched.on_drain(tenant);
         }
 
-        let (profile, memo_hit) = match (cfg.memoize, profiles[sub.workload]) {
-            (true, Some(p)) => (p, true),
+        let profile = match (cfg.memoize, profiles[sub.workload]) {
+            (true, Some(p)) => p,
             _ => {
                 let p = instance.execute(sub.workload)?;
                 profiles[sub.workload] = Some(p);
                 executions += 1;
-                (p, false)
+                p
             }
         };
-        record_completion(memo_hit);
 
         let completion = dispatch_at + profile.elapsed;
         device_free = completion;
@@ -193,7 +191,6 @@ fn admit_all_at(
             let sub = loads[tenant].pop().expect("peeked submission pops");
             let admitted = queues.submit(sub).is_ok();
             metrics[tenant].on_submission(admitted);
-            record_submission(admitted);
             if admitted {
                 sched.on_backlog(tenant);
             } else {

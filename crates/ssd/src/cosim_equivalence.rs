@@ -8,7 +8,9 @@
 //! every observable of an `scomp` run — simulated elapsed time, per-core
 //! cycle counts and instruction mixes, output bytes, DRAM traffic,
 //! per-channel byte counts and bus busy time — must be identical under both
-//! schedules, for any engine, kernel, stream shape, and output target.
+//! schedules, for any engine, kernel, stream shape, and output target. Both
+//! schedules must also end on the same deadline: the event-driven rounds
+//! plus the epochs it skipped equal the fixed-epoch rounds.
 
 use crate::{KernelBundle, ScompRequest, ScompResult, Ssd, SsdConfig};
 use assasin_core::EngineKind;
@@ -99,6 +101,10 @@ proptest! {
         prop_assert_eq!(ev.dram_traffic, fx.dram_traffic);
         prop_assert_eq!(&ev.channel_bytes, &fx.channel_bytes);
         prop_assert_eq!(&ev.channel_busy, &fx.channel_busy);
+        // The last round's deadline is `1 + rounds + skipped` epochs, so
+        // both schedules end on the same deadline exactly when this holds.
+        prop_assert_eq!(fx.epochs_skipped, 0);
+        prop_assert_eq!(ev.cosim_rounds + ev.epochs_skipped, fx.cosim_rounds);
         prop_assert_eq!(ev.per_core.len(), fx.per_core.len());
         for (e, f) in ev.per_core.iter().zip(&fx.per_core) {
             prop_assert_eq!(e.cycles, f.cycles);
@@ -107,4 +113,16 @@ proptest! {
             prop_assert_eq!(e.bytes_out, f.bytes_out);
         }
     }
+}
+
+/// A fixed case in which the deadline does jump, so a schedule that never
+/// skips (and still matches the reference) is caught.
+#[test]
+fn event_driven_skips_idle_epochs() {
+    let ev = run(true, EngineKind::AssasinSb, 0, 1024, 7, false);
+    let fx = run(false, EngineKind::AssasinSb, 0, 1024, 7, false);
+    assert_eq!(ev.elapsed, fx.elapsed);
+    assert_eq!(fx.epochs_skipped, 0);
+    assert!(ev.epochs_skipped > 0, "no epoch skipped");
+    assert_eq!(ev.cosim_rounds + ev.epochs_skipped, fx.cosim_rounds);
 }

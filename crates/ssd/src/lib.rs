@@ -39,13 +39,11 @@ mod backend;
 mod config;
 #[cfg(test)]
 mod cosim_equivalence;
-mod counters;
 mod error;
 mod request;
 mod ssd;
 
 pub use config::SsdConfig;
-pub use counters::{cosim_counters, fork_counters};
 pub use error::SsdError;
 pub use request::{CoreReport, KernelBundle, OutputTarget, ScompRequest, ScompResult};
 pub use ssd::{PlainIoResult, Ssd, SsdImage};

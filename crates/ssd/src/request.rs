@@ -194,6 +194,12 @@ pub struct ScompResult {
     pub channel_bytes: Vec<u64>,
     /// Per-channel bus busy time over the request.
     pub channel_busy: Vec<SimDur>,
+    /// Co-simulation rounds after which an engine was still running (the
+    /// completing round is not counted); 0 on the analytical UDP path.
+    pub cosim_rounds: u64,
+    /// Fixed-epoch rounds the event-driven deadline jumped over. The last
+    /// round's deadline is `1 + cosim_rounds + epochs_skipped` epochs.
+    pub epochs_skipped: u64,
 }
 
 impl ScompResult {

@@ -2,7 +2,6 @@
 
 use crate::backend::FlashOut;
 use crate::backend::{schedule_plans, split_ranges, Backend, PagePlan, StreamPlan};
-use crate::counters::record_cosim;
 use crate::request::OutputTarget;
 use crate::{CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError};
 use assasin_core::{
@@ -100,7 +99,6 @@ impl SsdImage {
         let mut ssd = Ssd::new(cfg);
         ssd.flash = self.flash.clone();
         ssd.ftl = self.ftl.clone();
-        crate::counters::record_fork(ssd.flash.written_pages());
         ssd
     }
 }
@@ -567,8 +565,8 @@ impl Ssd {
             return self.scomp_udp(req, &stream_bytes);
         }
         let mut session = self.scomp_session(req)?;
-        session.run_epochs::<true>()?;
-        session.finalize()
+        let cosim = session.run_epochs::<true>()?;
+        session.finalize(cosim)
     }
 
     /// [`Ssd::scomp`] on the fixed-epoch schedule: the deadline advances
@@ -584,8 +582,8 @@ impl Ssd {
             return self.scomp(req);
         }
         let mut session = self.scomp_session(req)?;
-        session.run_epochs::<false>()?;
-        session.finalize()
+        let cosim = session.run_epochs::<false>()?;
+        session.finalize(cosim)
     }
 
     /// Validates `req` and builds the in-flight [`Session`]: plans, cores,
@@ -795,6 +793,8 @@ impl Ssd {
             output_lpas: Vec::new(),
             channel_bytes: vec![inputs_total / channels; channels as usize],
             channel_busy: vec![SimDur::ZERO; channels as usize],
+            cosim_rounds: 0,
+            epochs_skipped: 0,
         })
     }
 }
@@ -954,7 +954,9 @@ impl Session<'_> {
     /// earliest wake-up. Deadlines stay on the `k * epoch` progression, so
     /// grant ordering — and every report byte — matches the fixed-epoch
     /// reference (`SKIP_IDLE = false`).
-    fn run_epochs<const SKIP_IDLE: bool>(&mut self) -> Result<(), SsdError> {
+    ///
+    /// Returns `(rounds, epochs_skipped)` for [`ScompResult`].
+    fn run_epochs<const SKIP_IDLE: bool>(&mut self) -> Result<(u64, u64), SsdError> {
         let epoch = self.cfg.epoch;
         let mut deadline = SimTime::ZERO + epoch;
         let mut rounds: u64 = 0;
@@ -978,12 +980,10 @@ impl Session<'_> {
                 }
             }
             if all_done {
-                record_cosim(rounds, epochs_skipped);
-                return Ok(());
+                return Ok((rounds, epochs_skipped));
             }
             rounds += 1;
             if rounds > self.cfg.max_rounds {
-                record_cosim(rounds, epochs_skipped);
                 return Err(SsdError::Stuck(stuck_report(
                     rounds,
                     deadline,
@@ -1005,7 +1005,7 @@ impl Session<'_> {
 
     /// Flushes residual output, moves Mem-style results to the output
     /// target, settles write-path durability, and assembles the report.
-    fn finalize(self) -> Result<ScompResult, SsdError> {
+    fn finalize(self, (cosim_rounds, epochs_skipped): (u64, u64)) -> Result<ScompResult, SsdError> {
         let Session {
             cfg,
             style,
@@ -1138,6 +1138,8 @@ impl Session<'_> {
             output_lpas,
             channel_bytes,
             channel_busy,
+            cosim_rounds,
+            epochs_skipped,
         })
     }
 }

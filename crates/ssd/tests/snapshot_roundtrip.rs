@@ -173,24 +173,6 @@ fn forked_devices_do_not_share_writes() {
     assert_eq!(io.data, data, "sibling fork observed a diverged page");
 }
 
-/// Snapshot byte counts: `fork_counters` records forks and the pages each
-/// fork inherited by reference.
-#[test]
-fn fork_counters_record_shared_pages() {
-    let cfg = SsdConfig::small_for_tests(EngineKind::AssasinSb);
-    let data = pattern(32 * 1024, 3);
-    let mut seed = Ssd::new(cfg);
-    seed.load_object(0, &data).expect("load");
-    let pages = (data.len() as u64).div_ceil(cfg.geometry.page_bytes as u64);
-    let image = seed.into_image();
-    let (f0, p0) = assasin_ssd::fork_counters();
-    let _a = image.fork(cfg);
-    let _b = image.fork(cfg);
-    let (f1, p1) = assasin_ssd::fork_counters();
-    assert_eq!(f1 - f0, 2);
-    assert_eq!(p1 - p0, 2 * pages);
-}
-
 #[test]
 fn corrupted_snapshots_decode_to_typed_errors() {
     let cfg = SsdConfig::small_for_tests(EngineKind::AssasinSb);
