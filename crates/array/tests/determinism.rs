@@ -157,3 +157,18 @@ fn eight_device_raid6_threaded_matches_serial_with_live_workers() {
         "threaded arrays never obtained a worker thread from the budget"
     );
 }
+
+/// The 8-device striped store, read and `scomp_object` leg at a fixed
+/// width: the proptest reaches striping only at 2–5 devices.
+#[test]
+fn eight_device_striped_scomp_threaded_matches_serial() {
+    init_threads();
+    let seeds: Vec<u64> = (0..8).map(|d| 5 + d * 31).collect();
+    let serial = run_script(ArrayExec::Serial, 8, 0, 110_000, 7, &seeds);
+    let threaded = run_script(ArrayExec::Threaded { workers: 8 }, 8, 0, 110_000, 7, &seeds);
+    assert!(serial.contains("scomp1 Ok("), "{serial}");
+    assert_eq!(
+        serial, threaded,
+        "8-device striped threaded run diverged from serial"
+    );
+}

@@ -2,13 +2,15 @@
 //!
 //! The hot-path refactors (predecoded dispatch, flattened caches, the
 //! streambuffer word fast path) must keep every report bit-identical:
-//! these tests lock the serialized fig13/fig14/fig16/fig19/fig_array,
-//! reliability and fig_serving reports at test scale against hashes captured before the refactor. Any
+//! these tests lock the serialized fig05/fig13/fig14/fig16/fig19/fig20/
+//! fig_array, reliability, fig_serving, table04 and table05 reports at
+//! test scale against hashes captured before the refactor. Any
 //! timing-model or counter drift shows up here as a hash mismatch long
 //! before anyone would spot it in a figure.
 
 use assasin_bench::experiments::{
-    fig13, fig14, fig16, fig19, fig_array, fig_reliability, fig_serving,
+    fig05, fig13, fig14, fig16, fig19, fig20, fig_array, fig_reliability, fig_serving, table04,
+    table05,
 };
 use assasin_bench::Scale;
 
@@ -49,6 +51,13 @@ const GOLDEN_FIG_ARRAY: u64 = 0x214f2b916bfb9855;
 /// serve event loop across that change.
 const GOLDEN_RELIABILITY: u64 = 0xec57442ea6254068;
 const GOLDEN_FIG_SERVING: u64 = 0x4d55d07eb0933ec7;
+/// Captured when perf_gate moved to paired perfbench runs; they pin the
+/// single-core motivating example, the memory-structure timing figure,
+/// and the engine-configuration and power/area tables.
+const GOLDEN_FIG05: u64 = 0xa887012d26b674c2;
+const GOLDEN_FIG20: u64 = 0xefc4dca5329d4971;
+const GOLDEN_TABLE04: u64 = 0xba0bc40b9ef68345;
+const GOLDEN_TABLE05: u64 = 0x4214dffd67d90bcb;
 
 #[test]
 fn fig13_report_matches_pre_refactor_bytes() {
@@ -106,4 +115,32 @@ fn fig_serving_report_matches_pre_refactor_bytes() {
         h, GOLDEN_FIG_SERVING,
         "fig_serving report JSON drifted from golden"
     );
+}
+
+#[test]
+fn fig05_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig05::run(&Scale::test_scale()));
+    println!("fig05 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_FIG05, "fig05 report JSON drifted from golden");
+}
+
+#[test]
+fn fig20_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig20::run());
+    println!("fig20 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_FIG20, "fig20 report JSON drifted from golden");
+}
+
+#[test]
+fn table04_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&table04::run());
+    println!("table04 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_TABLE04, "table04 report JSON drifted from golden");
+}
+
+#[test]
+fn table05_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&table05::run());
+    println!("table05 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_TABLE05, "table05 report JSON drifted from golden");
 }
