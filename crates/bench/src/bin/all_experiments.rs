@@ -11,12 +11,32 @@
 //! of the given substrings — e.g. `--filter fig16,fig19` or
 //! `ASSASIN_FILTER=fig15` — for iterating on one experiment without
 //! paying for the whole suite.
+//!
+//! The last line on standard error is one JSON object with the run's
+//! wall times: `{"nproc", "threads", "scale", "total_s", "tasks": {name:
+//! seconds}}` (`BENCH_all_experiments.json` records two such lines).
 
 use assasin_bench::experiments::*;
 use assasin_bench::{sweep, Scale};
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::fs;
 use std::time::Instant;
+
+/// The run's wall times, printed as the last line on standard error.
+#[derive(serde::Serialize)]
+struct Timing {
+    /// Host CPUs available to the process.
+    nproc: usize,
+    /// The sweep's thread cap (`RAYON_NUM_THREADS`, else `nproc`).
+    threads: usize,
+    /// The `ASSASIN_SCALE` multiplier.
+    scale: f64,
+    /// Wall time of the whole run, seconds.
+    total_s: f64,
+    /// Wall time of each task that ran, seconds.
+    tasks: BTreeMap<&'static str, f64>,
+}
 
 /// One finished report: `(name, rendered text, serialized JSON)`.
 type Report = (&'static str, String, serde_json::Value);
@@ -66,7 +86,8 @@ fn filters() -> Vec<String> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let mult = Scale::env_multiplier();
+    let scale = Scale::scaled(mult);
     let filters = filters();
     let t0 = Instant::now();
     type Task = (&'static str, Box<dyn Fn() -> Vec<Report> + Send + Sync>);
@@ -147,12 +168,26 @@ fn main() {
     let produced = sweep::run_points(&tasks, |(name, task)| {
         let started = Instant::now();
         let reports = task();
-        eprintln!("[{}] done in {:.1}s", name, started.elapsed().as_secs_f64());
-        reports
+        let secs = started.elapsed().as_secs_f64();
+        eprintln!("[{name}] done in {secs:.1}s");
+        (*name, secs, reports)
     });
-    for (name, text, json) in produced.into_iter().flatten() {
-        println!("{text}");
-        save(name, &text, &json);
+    let mut tasks = BTreeMap::new();
+    for (name, secs, reports) in produced {
+        tasks.insert(name, secs);
+        for (name, text, json) in reports {
+            println!("{text}");
+            save(name, &text, &json);
+        }
     }
-    eprintln!("all experiments done in {:.1}s", t0.elapsed().as_secs_f64());
+    let total_s = t0.elapsed().as_secs_f64();
+    eprintln!("all experiments done in {total_s:.1}s");
+    let timing = Timing {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        threads: assasin_parallel::current_max_threads(),
+        scale: mult,
+        total_s,
+        tasks,
+    };
+    eprintln!("{}", serde_json::to_string(&timing).expect("serializable"));
 }

@@ -42,12 +42,8 @@ impl Scale {
         }
     }
 
-    /// Reads `ASSASIN_SCALE` as a multiplier over the default scale.
-    pub fn from_env() -> Scale {
-        let mult: f64 = std::env::var("ASSASIN_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
+    /// The default scale with every input size multiplied by `mult`.
+    pub fn scaled(mult: f64) -> Scale {
         let d = Scale::default_scale();
         Scale {
             standalone_bytes: (d.standalone_bytes as f64 * mult) as usize,
@@ -56,6 +52,64 @@ impl Scale {
             scalability_bytes: (d.scalability_bytes as f64 * mult) as usize,
             seed: d.seed,
         }
+    }
+
+    /// The `ASSASIN_SCALE` multiplier, 1 when unset. For binaries: a
+    /// set-but-malformed value prints the error and exits with status 2
+    /// rather than running at a scale nobody asked for.
+    pub fn env_multiplier() -> f64 {
+        let Some(value) = std::env::var_os("ASSASIN_SCALE") else {
+            return 1.0;
+        };
+        parse_multiplier(&value.to_string_lossy()).unwrap_or_else(|e| {
+            eprintln!("invalid ASSASIN_SCALE {value:?}: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// The default scale multiplied by `ASSASIN_SCALE` (see
+    /// [`Scale::env_multiplier`] for how a malformed value is handled).
+    pub fn from_env() -> Scale {
+        Scale::scaled(Scale::env_multiplier())
+    }
+}
+
+/// Why an `ASSASIN_SCALE` value was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScaleError {
+    /// Not a number at all (`abc`, empty).
+    NotANumber,
+    /// `NaN` or an infinity.
+    NotFinite,
+    /// Zero or negative: there is nothing to generate.
+    NotPositive,
+}
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ScaleError::NotANumber => "not a number",
+            ScaleError::NotFinite => "not a finite number",
+            ScaleError::NotPositive => "must be greater than 0",
+        })
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// Parses an `ASSASIN_SCALE` value: a finite multiplier above zero.
+///
+/// # Errors
+///
+/// Returns which of the three rules the value breaks.
+pub fn parse_multiplier(value: &str) -> Result<f64, ScaleError> {
+    let mult: f64 = value.trim().parse().map_err(|_| ScaleError::NotANumber)?;
+    if !mult.is_finite() {
+        Err(ScaleError::NotFinite)
+    } else if mult <= 0.0 {
+        Err(ScaleError::NotPositive)
+    } else {
+        Ok(mult)
     }
 }
 
@@ -75,5 +129,17 @@ mod tests {
             assert!(s.standalone_bytes > 0 && s.aes_bytes > 0);
             assert!(s.sf > 0.0);
         }
+    }
+
+    #[test]
+    fn multiplier_parser_rejects_what_the_generator_cannot_run() {
+        assert_eq!(parse_multiplier("abc"), Err(ScaleError::NotANumber));
+        assert_eq!(parse_multiplier(""), Err(ScaleError::NotANumber));
+        assert_eq!(parse_multiplier("0"), Err(ScaleError::NotPositive));
+        assert_eq!(parse_multiplier("-1"), Err(ScaleError::NotPositive));
+        assert_eq!(parse_multiplier("NaN"), Err(ScaleError::NotFinite));
+        assert_eq!(parse_multiplier("inf"), Err(ScaleError::NotFinite));
+        assert_eq!(parse_multiplier("2"), Ok(2.0));
+        assert_eq!(Scale::scaled(1.0), Scale::default_scale());
     }
 }
