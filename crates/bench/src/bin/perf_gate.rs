@@ -1,83 +1,110 @@
-//! CI regression gate over `BENCH_perf_smoke.json`.
-//!
-//! Compares a freshly generated perf-smoke report against a committed
-//! baseline and fails (exit 1) when any isolated component's throughput
-//! drops, or any serial experiment's wall time grows, by more than the
-//! threshold (default 20%, override with `ASSASIN_PERF_GATE_PCT`).
-//! Entry sets must match exactly in both directions: a baseline entry
-//! missing from the fresh report (deleted/renamed experiment) and a
-//! fresh entry missing from the baseline (new experiment without a
-//! baseline regeneration) are both hard failures — see
-//! [`assasin_bench::gate`].
+//! CI regression gate: the change's perfbench against the parent's.
 //!
 //! ```text
-//! perf_gate <baseline.json> [fresh.json]    # fresh defaults to BENCH_perf_smoke.json
+//! perf_gate <parent-perfbench> <change-perfbench>
 //! ```
 //!
-//! Exit 0 passes, 1 fails the gate, and 2 is bad input: a missing or
-//! malformed report, or a malformed `ASSASIN_PERF_GATE_PCT`.
+//! For every workload `BENCHMARK.json` names, runs `PAIRS` pairs of the
+//! two binaries, alternating which goes first, with fixed seeds and
+//! `--seconds 4 --trace 0`. It then applies the rules of
+//! [`assasin_bench::gate::compare`]: the change's median `pass_s` may be
+//! at most 20% above the parent's, and the change may not report
+//! `correct: false` or more failed requests than the parent.
 //!
-//! Only serial wall times are gated: the parallel pass depends on the
-//! runner's core count, and component loops are single-threaded already.
-//! Wall-clock on shared CI runners is noisy, which is why the default
-//! threshold is a generous 20% — the gate exists to catch order-of-
-//! magnitude mistakes (an accidental `O(n^2)`, a debug assert in the hot
-//! path), not single-digit drift.
+//! Exit 0 passes, 1 fails the gate, and 2 is bad input: a bad argument,
+//! an unreadable `BENCHMARK.json`, or a perfbench run that fails or
+//! prints no result line.
+//!
+//! The gate catches regressions above 20% of a workload's end-to-end
+//! pass (an accidental `O(n^2)`, a debug check in the hot path), not
+//! single-digit drift.
 
-use serde_json::Value;
-use std::process::ExitCode;
+use assasin_bench::gate::{self, RunResult, Sides, THRESHOLD_PCT};
+use std::collections::BTreeMap;
+use std::process::{Command, ExitCode};
 
-/// The regression threshold: `ASSASIN_PERF_GATE_PCT` when set, else 20%.
-/// A set-but-malformed value is a hard error (exit 2), not a silent fall
-/// back to the default — a CI job that typos `ASSASIN_PERF_GATE_PCT=5%`
-/// must not quietly gate at 20%.
-fn threshold_pct() -> f64 {
-    match std::env::var("ASSASIN_PERF_GATE_PCT") {
-        Err(std::env::VarError::NotPresent) => 20.0,
-        Err(e) => {
-            eprintln!("perf_gate: ASSASIN_PERF_GATE_PCT is not valid unicode: {e}");
-            std::process::exit(2);
-        }
-        Ok(s) => match s.parse::<f64>() {
-            Ok(pct) if pct.is_finite() && pct >= 0.0 => pct,
-            _ => {
-                eprintln!(
-                    "perf_gate: invalid ASSASIN_PERF_GATE_PCT {s:?}: \
-                     expected a non-negative number of percent (e.g. 20)"
-                );
-                std::process::exit(2);
-            }
-        },
-    }
+/// Pairs of runs per workload.
+const PAIRS: u64 = 4;
+
+/// Seed of the first pair; pair `i` runs seed `FIRST_SEED + i`.
+const FIRST_SEED: u64 = 500;
+
+/// Seconds of repeats per run.
+const SECONDS: &str = "4";
+
+/// Prints the message and exits with status 2.
+fn bad_input(msg: &str) -> ! {
+    eprintln!("perf_gate: {msg}");
+    std::process::exit(2);
 }
 
-/// A report, or exit 2 with the reason.
-fn load(path: &str) -> Value {
-    assasin_bench::gate::load(path).unwrap_or_else(|e| {
-        eprintln!("perf_gate: {e}");
-        std::process::exit(2);
-    })
+/// One run of `bin` on `workload`, or exit 2 with the reason.
+fn run(bin: &str, workload: &str, seed: u64) -> RunResult {
+    let seed = seed.to_string();
+    let args = [
+        "--workload",
+        workload,
+        "--seed",
+        &seed,
+        "--seconds",
+        SECONDS,
+        "--trace",
+        "0",
+    ];
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| bad_input(&format!("cannot run {bin}: {e}")));
+    if !out.status.success() {
+        bad_input(&format!(
+            "{bin} {} exited with {}: {}",
+            args.join(" "),
+            out.status,
+            String::from_utf8_lossy(&out.stderr).trim()
+        ));
+    }
+    gate::parse_result_line(&String::from_utf8_lossy(&out.stdout))
+        .unwrap_or_else(|e| bad_input(&format!("{bin} {}: {e}", args.join(" "))))
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let baseline_path = args.next().unwrap_or_else(|| {
-        eprintln!("usage: perf_gate <baseline.json> [fresh.json]");
-        std::process::exit(2);
-    });
-    let fresh_path = args
-        .next()
-        .unwrap_or_else(|| "BENCH_perf_smoke.json".to_string());
-    let pct = threshold_pct();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [parent, change] = args.as_slice() else {
+        bad_input("usage: perf_gate <parent-perfbench> <change-perfbench>");
+    };
+    let benchmark = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+    let workloads = gate::load(benchmark)
+        .and_then(|b| gate::workloads(&b))
+        .unwrap_or_else(|e| bad_input(&e));
 
-    let baseline = load(&baseline_path);
-    let fresh = load(&fresh_path);
-    let outcome = assasin_bench::gate::compare(&baseline, &fresh, pct);
+    let mut runs = BTreeMap::new();
+    for workload in &workloads {
+        let mut sides = Sides::default();
+        for i in 0..PAIRS {
+            let seed = FIRST_SEED + i;
+            let (p, c) = if i % 2 == 0 {
+                let p = run(parent, workload, seed);
+                (p, run(change, workload, seed))
+            } else {
+                let c = run(change, workload, seed);
+                (run(parent, workload, seed), c)
+            };
+            println!(
+                "{workload:>14} seed {seed}: pass_s parent {:.4} s, change {:.4} s",
+                p.pass_s, c.pass_s
+            );
+            sides.parent.push(p);
+            sides.change.push(c);
+        }
+        runs.insert(workload.clone(), sides);
+    }
+
+    let outcome = gate::compare(&workloads, &runs);
     for line in &outcome.log {
         println!("{line}");
     }
     if outcome.failures.is_empty() {
-        println!("perf_gate: OK (threshold {pct}%)");
+        println!("perf_gate: OK (limit +{THRESHOLD_PCT}% on median pass_s)");
         ExitCode::SUCCESS
     } else {
         for f in &outcome.failures {

@@ -4,8 +4,8 @@
 //! Everything reported here is *simulated* time from the array's
 //! deterministic event merge, so the report is byte-identical across
 //! runs, across serial vs. threaded execution, and across machines —
-//! the wall-clock payoff of the threaded engine is measured separately
-//! by `perf_smoke`. Three scenarios:
+//! this report carries no wall-clock figures for the threaded engine.
+//! Three scenarios:
 //!
 //! 1. **Scaling** — one object striped over 1, 2, 4, … devices; a
 //!    conventional read (every byte crosses the shared root, so stalls
@@ -267,7 +267,7 @@ fn rebuild_point(
 
 /// Runs the array experiment with an explicit execution mode. The
 /// report is byte-identical for `Serial` and `Threaded` — that is the
-/// determinism contract, and `perf_smoke` checks it on every run.
+/// determinism contract, tested in `crates/array/tests/determinism.rs`.
 pub fn run_with(scale: &Scale, exec: ArrayExec) -> ArrayReport {
     let max_devices = env_devices();
     let sweep_placement = env_placement();

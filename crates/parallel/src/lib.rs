@@ -56,10 +56,10 @@ fn configured_threads() -> usize {
         Err(e) => panic!("RAYON_NUM_THREADS is not valid unicode: {e}"),
         Ok(v) => match parse_thread_env(&v) {
             Ok(n) => return n,
-            // A set-but-malformed knob is a hard error, mirroring
-            // `perf_gate`'s handling of ASSASIN_PERF_GATE_PCT: a CI job
-            // that typos `RAYON_NUM_THREADS="8 threads"` must not quietly
-            // run at whatever parallelism the box happens to have.
+            // A set-but-malformed knob is a hard error, like every
+            // other knob: a CI job that typos
+            // `RAYON_NUM_THREADS="8 threads"` must not quietly run at
+            // whatever parallelism the box happens to have.
             Err(why) => panic!("invalid RAYON_NUM_THREADS {v:?}: {why}"),
         },
     }
