@@ -2,15 +2,16 @@
 //!
 //! The hot-path refactors (predecoded dispatch, flattened caches, the
 //! streambuffer word fast path) must keep every report bit-identical:
-//! these tests lock the serialized fig05/fig13/fig14/fig16/fig19/fig20/
-//! fig_array, reliability, fig_serving, table04 and table05 reports at
-//! test scale against hashes captured before the refactor. Any
+//! these tests lock all 16 serialized reports (ablations, fig05, fig13,
+//! fig14, fig15, fig16, fig19, fig20, fig21, fig22, fig_array,
+//! reliability, fig_serving, table02, table04 and table05) at test scale
+//! against hashes captured before the refactor. Any
 //! timing-model or counter drift shows up here as a hash mismatch long
 //! before anyone would spot it in a figure.
 
 use assasin_bench::experiments::{
-    fig05, fig13, fig14, fig16, fig19, fig20, fig_array, fig_reliability, fig_serving, table04,
-    table05,
+    ablations, fig05, fig13, fig14, fig15, fig16, fig19, fig20, fig21, fig22, fig_array,
+    fig_reliability, fig_serving, table02, table04, table05,
 };
 use assasin_bench::Scale;
 
@@ -58,6 +59,13 @@ const GOLDEN_FIG05: u64 = 0xa887012d26b674c2;
 const GOLDEN_FIG20: u64 = 0xefc4dca5329d4971;
 const GOLDEN_TABLE04: u64 = 0xba0bc40b9ef68345;
 const GOLDEN_TABLE05: u64 = 0x4214dffd67d90bcb;
+/// Captured before whole-device snapshot persistence was deleted; with
+/// these every report in `reports/` is pinned.
+const GOLDEN_FIG15: u64 = 0xf65d1c9ceac38b68;
+const GOLDEN_FIG21: u64 = 0x8b656f18a9e66a79;
+const GOLDEN_FIG22: u64 = 0x03077e3f1deccd95;
+const GOLDEN_TABLE02: u64 = 0x04046fbc362de2dc;
+const GOLDEN_ABLATIONS: u64 = 0xc907504eba10c203;
 
 #[test]
 fn fig13_report_matches_pre_refactor_bytes() {
@@ -143,4 +151,39 @@ fn table05_report_matches_pre_refactor_bytes() {
     let h = hash_json(&table05::run());
     println!("table05 hash: {h:#018x}");
     assert_eq!(h, GOLDEN_TABLE05, "table05 report JSON drifted from golden");
+}
+
+#[test]
+fn fig15_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig15::run(&Scale::test_scale()));
+    println!("fig15 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_FIG15, "fig15 report JSON drifted from golden");
+}
+
+#[test]
+fn fig21_and_fig22_reports_match_pre_refactor_bytes() {
+    let fig21 = fig21::run(&Scale::test_scale());
+    let h21 = hash_json(&fig21);
+    let h22 = hash_json(&fig22::run(&fig21));
+    println!("fig21 hash: {h21:#018x}");
+    println!("fig22 hash: {h22:#018x}");
+    assert_eq!(h21, GOLDEN_FIG21, "fig21 report JSON drifted from golden");
+    assert_eq!(h22, GOLDEN_FIG22, "fig22 report JSON drifted from golden");
+}
+
+#[test]
+fn table02_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&table02::run(&Scale::test_scale()));
+    println!("table02 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_TABLE02, "table02 report JSON drifted from golden");
+}
+
+#[test]
+fn ablations_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&ablations::run(&Scale::test_scale()));
+    println!("ablations hash: {h:#018x}");
+    assert_eq!(
+        h, GOLDEN_ABLATIONS,
+        "ablations report JSON drifted from golden"
+    );
 }
