@@ -738,177 +738,6 @@ impl Core {
         self.hierarchy.as_ref()
     }
 
-    /// Serializes every predecode-independent field: architectural
-    /// registers, `pc`, local clock, run state, scratchpad, streambuffer,
-    /// the optional hierarchy/window/staging structures, and the cycle and
-    /// instruction-mix counters. The predecoded `code`, the config and the
-    /// shared DRAM handle are *not* encoded — a restore target is built
-    /// with [`Core::new`] from the same program and config, which
-    /// reproduces them (via the predecode cache, usually for free).
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        enc.u64(self.id as u64);
-        for r in self.regs {
-            enc.u32(r);
-        }
-        enc.u32(self.pc);
-        enc.u64(self.cycle);
-        match &self.state {
-            CoreState::Running => enc.u8(0),
-            CoreState::Halted => enc.u8(1),
-            CoreState::Wedged(msg) => {
-                enc.u8(2);
-                enc.str(msg);
-            }
-        }
-        self.scratchpad.save_state(enc);
-        self.sbuf.save_state(enc);
-        match &self.hierarchy {
-            Some(h) => {
-                enc.bool(true);
-                h.save_state(enc);
-            }
-            None => enc.bool(false),
-        }
-        match &self.window {
-            Some(w) => {
-                enc.bool(true);
-                w.save_state(enc);
-            }
-            None => enc.bool(false),
-        }
-        match &self.staging {
-            Some(s) => {
-                enc.bool(true);
-                s.save_state(enc);
-            }
-            None => enc.bool(false),
-        }
-        let b = &self.breakdown;
-        for v in [
-            b.busy,
-            b.stall_l1,
-            b.stall_l2,
-            b.stall_dram,
-            b.stall_scratchpad,
-            b.stall_stream,
-            b.stall_swap,
-        ] {
-            enc.u64(v);
-        }
-        let m = &self.mix;
-        for v in [
-            m.total,
-            m.alu,
-            m.muldiv,
-            m.loads,
-            m.stores,
-            m.branches,
-            m.taken,
-            m.jumps,
-            m.stream_loads,
-            m.stream_stores,
-        ] {
-            enc.u64(v);
-        }
-    }
-
-    /// Restores [`Core::save_state`] bytes onto a freshly built core.
-    /// `self` must come from [`Core::new`] with the same id, config and
-    /// program the snapshot was taken under.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation, an id mismatch, or a hierarchy/staging
-    /// presence mismatch (the snapshot was taken under a different
-    /// engine configuration).
-    pub fn load_snapshot(
-        &mut self,
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<(), assasin_snap::SnapError> {
-        let id = dec.u64()?;
-        if id != self.id as u64 {
-            return Err(assasin_snap::SnapError::Malformed(format!(
-                "core id mismatch: snapshot {id}, target {}",
-                self.id
-            )));
-        }
-        let mut regs = [0u32; 32];
-        for r in &mut regs {
-            *r = dec.u32()?;
-        }
-        let pc = dec.u32()?;
-        let cycle = dec.u64()?;
-        let state = match dec.u8()? {
-            0 => CoreState::Running,
-            1 => CoreState::Halted,
-            2 => CoreState::Wedged(dec.str()?.to_string()),
-            t => {
-                return Err(assasin_snap::SnapError::Malformed(format!(
-                    "unknown core state tag {t}"
-                )))
-            }
-        };
-        let scratchpad = Scratchpad::restore_state(dec)?;
-        let sbuf = StreamBuffer::restore_state(dec)?;
-        let h_present = dec.bool()?;
-        if h_present != self.hierarchy.is_some() {
-            return Err(assasin_snap::SnapError::Malformed(
-                "core hierarchy presence mismatch".into(),
-            ));
-        }
-        if let Some(h) = self.hierarchy.as_mut() {
-            h.load_snapshot(dec)?;
-        }
-        let window = if dec.bool()? {
-            Some(DramWindow::restore_state(dec)?)
-        } else {
-            None
-        };
-        let s_present = dec.bool()?;
-        if s_present != self.staging.is_some() {
-            return Err(assasin_snap::SnapError::Malformed(
-                "core staging presence mismatch".into(),
-            ));
-        }
-        let staging = if s_present {
-            Some(PingPong::restore_state(dec)?)
-        } else {
-            None
-        };
-        let breakdown = CycleBreakdown {
-            busy: dec.u64()?,
-            stall_l1: dec.u64()?,
-            stall_l2: dec.u64()?,
-            stall_dram: dec.u64()?,
-            stall_scratchpad: dec.u64()?,
-            stall_stream: dec.u64()?,
-            stall_swap: dec.u64()?,
-        };
-        let mix = InstrMix {
-            total: dec.u64()?,
-            alu: dec.u64()?,
-            muldiv: dec.u64()?,
-            loads: dec.u64()?,
-            stores: dec.u64()?,
-            branches: dec.u64()?,
-            taken: dec.u64()?,
-            jumps: dec.u64()?,
-            stream_loads: dec.u64()?,
-            stream_stores: dec.u64()?,
-        };
-        self.regs = regs;
-        self.pc = pc;
-        self.cycle = cycle;
-        self.state = state;
-        self.scratchpad = scratchpad;
-        self.sbuf = sbuf;
-        self.window = window;
-        self.staging = staging;
-        self.breakdown = breakdown;
-        self.mix = mix;
-        Ok(())
-    }
-
     /// Flushes `n` batched retirements into the unconditional
     /// per-instruction counters (`mix.total` plus one base busy cycle
     /// each). The dispatch loops accumulate locally and flush once per
@@ -1890,65 +1719,6 @@ mod tests {
         assert_eq!(core.reg(Reg::A1), 55);
         assert_eq!(core.mix().taken, 9);
         assert_eq!(core.mix().branches, 10);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_continues_identically() {
-        // Sum a long countdown so a mid-run deadline lands inside the loop.
-        let mut asm = Assembler::new();
-        asm.li(Reg::A0, 500);
-        asm.li(Reg::A1, 0);
-        let top = asm.label();
-        asm.bind(top);
-        asm.add(Reg::A1, Reg::A1, Reg::A0);
-        asm.addi(Reg::A0, Reg::A0, -1);
-        asm.bnez(Reg::A0, top);
-        asm.halt();
-        let program = asm.finish().expect("assembles");
-        let cfg = CoreConfig::assasin_sb();
-        let mut original = Core::new(0, cfg, program.clone(), None);
-        original.run(&mut NullEnv, SimTime::from_ns(100));
-        assert_eq!(original.state(), &CoreState::Running, "deadline mid-loop");
-
-        let mut enc = assasin_snap::Encoder::new();
-        original.save_state(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut restored = Core::new(0, cfg, program, None);
-        let mut dec = assasin_snap::Decoder::new(&bytes);
-        restored.load_snapshot(&mut dec).expect("load snapshot");
-        dec.finish().expect("snapshot fully consumed");
-
-        // Canonical bytes: re-saving the restored core is byte-identical.
-        let mut enc2 = assasin_snap::Encoder::new();
-        restored.save_state(&mut enc2);
-        assert_eq!(bytes, enc2.into_bytes());
-
-        // Continuation: both cores finish in lockstep.
-        original.run_to_halt(&mut NullEnv);
-        restored.run_to_halt(&mut NullEnv);
-        assert_eq!(original.state(), restored.state());
-        assert_eq!(original.cycles(), restored.cycles());
-        assert_eq!(original.reg(Reg::A1), restored.reg(Reg::A1));
-        assert_eq!(original.mix(), restored.mix());
-        assert_eq!(original.breakdown(), restored.breakdown());
-    }
-
-    #[test]
-    fn snapshot_rejects_mismatched_target() {
-        let mut asm = Assembler::new();
-        asm.halt();
-        let program = asm.finish().expect("assembles");
-        let core = Core::new(3, CoreConfig::assasin_sb(), program.clone(), None);
-        let mut enc = assasin_snap::Encoder::new();
-        core.save_state(&mut enc);
-        let bytes = enc.into_bytes();
-        // Wrong id: the section was routed to the wrong core.
-        let mut other = Core::new(4, CoreConfig::assasin_sb(), program, None);
-        let mut dec = assasin_snap::Decoder::new(&bytes);
-        assert!(matches!(
-            other.load_snapshot(&mut dec),
-            Err(assasin_snap::SnapError::Malformed(_))
-        ));
     }
 
     #[test]

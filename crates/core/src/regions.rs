@@ -101,49 +101,6 @@ impl DramWindow {
     pub fn contains(&self, offset: u64, width: u32) -> bool {
         offset + width as u64 <= self.data.len() as u64
     }
-
-    /// Serializes the window bytes and per-page staging availability.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        enc.bytes(&self.data);
-        enc.u32(self.page_bytes);
-        enc.len_of(self.avail.len());
-        for t in &self.avail {
-            enc.u64(t.as_ps());
-        }
-    }
-
-    /// Rebuilds a window from [`DramWindow::save_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation, a zero staging granularity, or a page count
-    /// inconsistent with the window size.
-    pub fn restore_state(
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<Self, assasin_snap::SnapError> {
-        let data = dec.bytes()?.to_vec();
-        let page_bytes = dec.u32()?;
-        if page_bytes == 0 {
-            return Err(assasin_snap::SnapError::Malformed(
-                "zero window staging granularity".into(),
-            ));
-        }
-        let n = dec.len_of()?;
-        if n != data.len().div_ceil(page_bytes as usize) {
-            return Err(assasin_snap::SnapError::Malformed(
-                "window page count inconsistent with size".into(),
-            ));
-        }
-        let mut avail = Vec::with_capacity(n);
-        for _ in 0..n {
-            avail.push(SimTime::from_ps(dec.u64()?));
-        }
-        Ok(DramWindow {
-            data,
-            page_bytes,
-            avail,
-        })
-    }
 }
 
 /// AssasinSp ping-pong staging state for one direction pair: the core works
@@ -256,52 +213,6 @@ impl PingPong {
     /// When the previous output drain completes (swap stalls until then).
     pub fn drain_done(&self) -> SimTime {
         self.out_drain_done
-    }
-
-    /// Serializes both staging banks and the drain bookkeeping.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        enc.u32(self.bank_bytes);
-        enc.bytes(&self.in_bank);
-        enc.len_of(self.in_len);
-        enc.bool(self.in_exhausted);
-        enc.bytes(&self.out_bank);
-        enc.len_of(self.out_high_water);
-        enc.u64(self.out_drain_done.as_ps());
-    }
-
-    /// Rebuilds staging state from [`PingPong::save_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or internally inconsistent bank lengths.
-    pub fn restore_state(
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<Self, assasin_snap::SnapError> {
-        let bank_bytes = dec.u32()?;
-        let in_bank = dec.bytes()?.to_vec();
-        let in_len = dec.len_of()?;
-        let in_exhausted = dec.bool()?;
-        let out_bank = dec.bytes()?.to_vec();
-        let out_high_water = dec.len_of()?;
-        let out_drain_done = SimTime::from_ps(dec.u64()?);
-        if in_bank.len() > bank_bytes as usize
-            || in_len > in_bank.len()
-            || out_bank.len() != bank_bytes as usize
-            || out_high_water > out_bank.len()
-        {
-            return Err(assasin_snap::SnapError::Malformed(
-                "staging bank lengths inconsistent".into(),
-            ));
-        }
-        Ok(PingPong {
-            bank_bytes,
-            in_bank,
-            in_len,
-            in_exhausted,
-            out_bank,
-            out_high_water,
-            out_drain_done,
-        })
     }
 }
 

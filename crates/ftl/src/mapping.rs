@@ -627,180 +627,6 @@ impl Ftl {
         counts
     }
 
-    /// Serializes placement, the chunked L2P table (sparse: only allocated
-    /// chunks, each slot with a presence flag), per-plane allocator state,
-    /// striping cursors and stats. The reverse P2L index is NOT encoded —
-    /// it is derivable from the forward map and rebuilt on restore.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        match &self.placement {
-            Placement::StripeRoundRobin => enc.u8(0),
-            Placement::Skewed(weights) => {
-                enc.u8(1);
-                enc.len_of(weights.len());
-                for &w in weights {
-                    enc.f64(w);
-                }
-            }
-        }
-        enc.len_of(self.map.iter().filter(|c| c.is_some()).count());
-        for (ci, chunk) in self.map.iter().enumerate() {
-            let Some(slots) = chunk else { continue };
-            enc.len_of(ci);
-            for slot in slots.iter() {
-                match slot {
-                    Some(a) => {
-                        enc.bool(true);
-                        enc.u32(a.channel);
-                        enc.u32(a.chip);
-                        enc.u32(a.plane);
-                        enc.u32(a.block);
-                        enc.u32(a.page);
-                    }
-                    None => enc.bool(false),
-                }
-            }
-        }
-        enc.len_of(self.planes.len());
-        for p in &self.planes {
-            enc.len_of(p.free_blocks.len());
-            for &b in &p.free_blocks {
-                enc.u32(b);
-            }
-            match p.active {
-                Some((b, pg)) => {
-                    enc.bool(true);
-                    enc.u32(b);
-                    enc.u32(pg);
-                }
-                None => enc.bool(false),
-            }
-            for &v in &p.valid {
-                enc.u32(v);
-            }
-            for &e in &p.erase_count {
-                enc.u32(e);
-            }
-            for &b in &p.bad {
-                enc.bool(b);
-            }
-        }
-        for &c in &self.chip_cursor {
-            enc.u32(c);
-        }
-        for &c in &self.plane_cursor {
-            enc.u32(c);
-        }
-        enc.u64(self.stream_pos);
-        enc.u64(self.stream_total);
-        enc.u64(self.stats.host_writes);
-        enc.u64(self.stats.gc_relocations);
-        enc.u64(self.stats.erases);
-        enc.u64(self.stats.read_retries);
-        enc.u64(self.stats.ecc_corrected);
-        enc.u64(self.stats.uncorrectable);
-        enc.u64(self.stats.grown_bad_blocks);
-    }
-
-    /// Restores a snapshot taken by [`Ftl::save_state`] onto this
-    /// freshly-constructed FTL (same geometry). Rebuilds the reverse P2L
-    /// index from the decoded forward map.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or plane counts that disagree with the geometry.
-    pub fn load_snapshot(
-        &mut self,
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<(), assasin_snap::SnapError> {
-        self.placement = match dec.u8()? {
-            0 => Placement::StripeRoundRobin,
-            1 => {
-                let n = dec.len_of()?;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    weights.push(dec.f64()?);
-                }
-                Placement::Skewed(weights)
-            }
-            t => {
-                return Err(assasin_snap::SnapError::Malformed(format!(
-                    "placement tag {t}"
-                )))
-            }
-        };
-        self.map.clear();
-        self.reverse.clear();
-        let n_chunks = dec.len_of()?;
-        for _ in 0..n_chunks {
-            let ci = dec.len_of()?;
-            let mut slots = vec![None; L2P_CHUNK as usize].into_boxed_slice();
-            for (off, slot) in slots.iter_mut().enumerate() {
-                if dec.bool()? {
-                    let addr = PhysPageAddr {
-                        channel: dec.u32()?,
-                        chip: dec.u32()?,
-                        plane: dec.u32()?,
-                        block: dec.u32()?,
-                        page: dec.u32()?,
-                    };
-                    *slot = Some(addr);
-                    self.reverse
-                        .insert(addr, ci as u64 * L2P_CHUNK + off as u64);
-                }
-            }
-            if ci >= self.map.len() {
-                self.map.resize_with(ci + 1, || None);
-            }
-            self.map[ci] = Some(slots);
-        }
-        let n_planes = dec.len_of()?;
-        if n_planes != self.planes.len() {
-            return Err(assasin_snap::SnapError::Malformed(format!(
-                "plane count {n_planes} != {}",
-                self.planes.len()
-            )));
-        }
-        for p in &mut self.planes {
-            let n_free = dec.len_of()?;
-            p.free_blocks.clear();
-            for _ in 0..n_free {
-                p.free_blocks.push(dec.u32()?);
-            }
-            p.active = if dec.bool()? {
-                Some((dec.u32()?, dec.u32()?))
-            } else {
-                None
-            };
-            for v in &mut p.valid {
-                *v = dec.u32()?;
-            }
-            for e in &mut p.erase_count {
-                *e = dec.u32()?;
-            }
-            for b in &mut p.bad {
-                *b = dec.bool()?;
-            }
-        }
-        for c in &mut self.chip_cursor {
-            *c = dec.u32()?;
-        }
-        for c in &mut self.plane_cursor {
-            *c = dec.u32()?;
-        }
-        self.stream_pos = dec.u64()?;
-        self.stream_total = dec.u64()?;
-        self.stats = FtlStats {
-            host_writes: dec.u64()?,
-            gc_relocations: dec.u64()?,
-            erases: dec.u64()?,
-            read_retries: dec.u64()?,
-            ecc_corrected: dec.u64()?,
-            uncorrectable: dec.u64()?,
-            grown_bad_blocks: dec.u64()?,
-        };
-        Ok(())
-    }
-
     /// Maximum difference in erase counts across all blocks (wear spread).
     pub fn wear_spread(&self) -> u32 {
         let mut min = u32::MAX;

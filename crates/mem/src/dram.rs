@@ -86,26 +86,6 @@ impl Dram {
     pub fn reset_time(&mut self) {
         self.bus.reset_time();
     }
-
-    /// Serializes latency and the bus schedule/accounting.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        enc.u64(self.latency.as_ps());
-        self.bus.save_state(enc);
-    }
-
-    /// Rebuilds a DRAM from [`Dram::save_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or malformed input.
-    pub fn restore_state(
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<Self, assasin_snap::SnapError> {
-        Ok(Dram {
-            latency: SimDur::from_ps(dec.u64()?),
-            bus: Bandwidth::restore_state(dec)?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -114,68 +114,6 @@ impl DcptPrefetcher {
     pub fn counters(&self) -> (u64, u64) {
         (self.issued, self.useful_hint)
     }
-
-    /// Serializes the full prediction table and counters.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        enc.u64(self.line_bytes);
-        enc.len_of(self.entries.len());
-        for e in &self.entries {
-            enc.u64(e.pc);
-            enc.u64(e.last_addr);
-            enc.u64(e.last_prefetch);
-            enc.len_of(e.deltas.len());
-            for &d in &e.deltas {
-                enc.i64(d);
-            }
-        }
-        enc.u64(self.issued);
-        enc.u64(self.useful_hint);
-    }
-
-    /// Rebuilds a prefetcher from [`DcptPrefetcher::save_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or table/history sizes beyond the model's caps.
-    pub fn restore_state(
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<Self, assasin_snap::SnapError> {
-        let line_bytes = dec.u64()?;
-        let n = dec.len_of()?;
-        if n > TABLE_ENTRIES {
-            return Err(assasin_snap::SnapError::Malformed(format!(
-                "DCPT table size {n} > {TABLE_ENTRIES}"
-            )));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pc = dec.u64()?;
-            let last_addr = dec.u64()?;
-            let last_prefetch = dec.u64()?;
-            let k = dec.len_of()?;
-            if k > DELTA_HISTORY {
-                return Err(assasin_snap::SnapError::Malformed(format!(
-                    "DCPT delta history {k} > {DELTA_HISTORY}"
-                )));
-            }
-            let mut deltas = VecDeque::with_capacity(DELTA_HISTORY);
-            for _ in 0..k {
-                deltas.push_back(dec.i64()?);
-            }
-            entries.push(Entry {
-                pc,
-                last_addr,
-                last_prefetch,
-                deltas,
-            });
-        }
-        Ok(DcptPrefetcher {
-            line_bytes,
-            entries,
-            issued: dec.u64()?,
-            useful_hint: dec.u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -99,24 +99,6 @@ impl Scratchpad {
     pub fn clear(&mut self) {
         self.data.fill(0);
     }
-
-    /// Serializes the full contents.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        enc.bytes(&self.data);
-    }
-
-    /// Rebuilds a scratchpad from [`Scratchpad::save_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input.
-    pub fn restore_state(
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<Self, assasin_snap::SnapError> {
-        Ok(Scratchpad {
-            data: dec.bytes()?.to_vec(),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -107,35 +107,6 @@ impl Bandwidth {
         self.bytes_moved = 0;
         self.timeline.reset_time();
     }
-
-    /// Serializes the link schedule, rate and byte accounting.
-    pub fn save_state(&self, enc: &mut assasin_snap::Encoder) {
-        self.timeline.save_state(enc);
-        enc.f64(self.bytes_per_sec);
-        enc.u64(self.bytes_moved);
-    }
-
-    /// Rebuilds a link from [`Bandwidth::save_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input or a non-positive encoded rate.
-    pub fn restore_state(
-        dec: &mut assasin_snap::Decoder<'_>,
-    ) -> Result<Self, assasin_snap::SnapError> {
-        let timeline = Timeline::restore_state(dec)?;
-        let bytes_per_sec = dec.f64()?;
-        if !(bytes_per_sec > 0.0 && bytes_per_sec.is_finite()) {
-            return Err(assasin_snap::SnapError::Malformed(format!(
-                "bandwidth rate {bytes_per_sec}"
-            )));
-        }
-        Ok(Bandwidth {
-            timeline,
-            bytes_per_sec,
-            bytes_moved: dec.u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -1,340 +1,7 @@
-//! Versioned binary snapshot encoding shared by every simulated layer.
-//!
-//! The format is deliberately dumb: fixed-width little-endian primitives,
-//! length-prefixed byte strings, and one-byte section tags so a decoder that
-//! drifts out of sync fails fast with a typed error instead of reading
-//! garbage. Each layer owns its own `save_state`/`restore_state` pair built
-//! on [`Encoder`]/[`Decoder`]; the SSD-level container adds the magic,
-//! version and config fingerprint (see DESIGN.md §14).
-
-use std::fmt;
-
-/// Typed decode failure. Snapshots come from disk or another process, so
-/// every malformation must surface as an error, never a panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapError {
-    /// The input ended before the decoder finished.
-    UnexpectedEof { at: usize, need: usize },
-    /// The leading magic bytes are not a snapshot's.
-    BadMagic { found: u32 },
-    /// The snapshot was written by an incompatible format version.
-    BadVersion { found: u16, expected: u16 },
-    /// A section tag did not match the expected layer boundary.
-    BadTag { found: u8, expected: u8, at: usize },
-    /// Bytes remained after the last field decoded.
-    TrailingBytes { extra: usize },
-    /// The snapshot was taken under a different device configuration.
-    ConfigMismatch { found: String, expected: String },
-    /// A structurally valid field carried an impossible value.
-    Malformed(String),
-}
-
-impl fmt::Display for SnapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapError::UnexpectedEof { at, need } => {
-                write!(f, "snapshot truncated at byte {at} (needed {need} more)")
-            }
-            SnapError::BadMagic { found } => {
-                write!(f, "not a snapshot (magic {found:#010x})")
-            }
-            SnapError::BadVersion { found, expected } => {
-                write!(
-                    f,
-                    "snapshot version {found} unsupported (expected {expected})"
-                )
-            }
-            SnapError::BadTag {
-                found,
-                expected,
-                at,
-            } => {
-                write!(
-                    f,
-                    "section tag {found:#04x} at byte {at} where {expected:#04x} expected"
-                )
-            }
-            SnapError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after snapshot end")
-            }
-            SnapError::ConfigMismatch { found, expected } => {
-                write!(
-                    f,
-                    "snapshot config mismatch: snapshot was taken under {found:?}, \
-                     restore requested {expected:?}"
-                )
-            }
-            SnapError::Malformed(what) => write!(f, "malformed snapshot field: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapError {}
-
-/// Append-only little-endian writer.
-#[derive(Debug, Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
-}
-
-impl Encoder {
-    pub fn new() -> Self {
-        Encoder::default()
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        Encoder {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// f64 round-trips bit-exactly (the fault model depends on it).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// usize narrowed through u64 so 32- and 64-bit targets agree on bytes.
-    pub fn len_of(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.len_of(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// One-byte section boundary marker.
-    pub fn tag(&mut self, t: u8) {
-        self.u8(t);
-    }
-}
-
-/// Cursor-based reader mirroring [`Encoder`]; every read is bounds-checked.
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
-    }
-
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.remaining() < n {
-            return Err(SnapError::UnexpectedEof {
-                at: self.pos,
-                need: n - self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapError::Malformed(format!("bool byte {b:#04x}"))),
-        }
-    }
-
-    /// Reads a length written by [`Encoder::len_of`], bounded by the bytes
-    /// that could possibly remain so a corrupted length cannot trigger a
-    /// huge allocation.
-    pub fn len_of(&mut self) -> Result<usize, SnapError> {
-        let v = self.u64()?;
-        if v > self.remaining() as u64 * 8 + 64 {
-            return Err(SnapError::Malformed(format!("implausible length {v}")));
-        }
-        Ok(v as usize)
-    }
-
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
-        let n = self.len_of()?;
-        self.take(n)
-    }
-
-    pub fn str(&mut self) -> Result<&'a str, SnapError> {
-        std::str::from_utf8(self.bytes()?)
-            .map_err(|_| SnapError::Malformed("non-UTF-8 string".into()))
-    }
-
-    pub fn expect_tag(&mut self, expected: u8) -> Result<(), SnapError> {
-        let at = self.pos;
-        let found = self.u8()?;
-        if found != expected {
-            return Err(SnapError::BadTag {
-                found,
-                expected,
-                at,
-            });
-        }
-        Ok(())
-    }
-
-    /// Fails if any bytes remain; every complete decode must end here.
-    pub fn finish(self) -> Result<(), SnapError> {
-        if self.remaining() != 0 {
-            return Err(SnapError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitives_roundtrip() {
-        let mut e = Encoder::new();
-        e.u8(7);
-        e.u16(0xBEEF);
-        e.u32(0xDEAD_BEEF);
-        e.u64(u64::MAX - 3);
-        e.i64(-42);
-        e.f64(std::f64::consts::PI);
-        e.bool(true);
-        e.bytes(b"abc");
-        e.str("snapshot");
-        e.tag(0x5A);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(d.u8().unwrap(), 7);
-        assert_eq!(d.u16().unwrap(), 0xBEEF);
-        assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(d.i64().unwrap(), -42);
-        assert_eq!(d.f64().unwrap(), std::f64::consts::PI);
-        assert!(d.bool().unwrap());
-        assert_eq!(d.bytes().unwrap(), b"abc");
-        assert_eq!(d.str().unwrap(), "snapshot");
-        d.expect_tag(0x5A).unwrap();
-        d.finish().unwrap();
-    }
-
-    #[test]
-    fn truncation_is_typed_eof() {
-        let mut e = Encoder::new();
-        e.u64(99);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes[..5]);
-        assert!(matches!(
-            d.u64(),
-            Err(SnapError::UnexpectedEof { at: 0, need: 3 })
-        ));
-    }
-
-    #[test]
-    fn wrong_tag_reports_position() {
-        let mut e = Encoder::new();
-        e.tag(1);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(
-            d.expect_tag(2),
-            Err(SnapError::BadTag {
-                found: 1,
-                expected: 2,
-                at: 0
-            })
-        );
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut e = Encoder::new();
-        e.u8(1);
-        e.u8(2);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        d.u8().unwrap();
-        assert_eq!(d.finish(), Err(SnapError::TrailingBytes { extra: 1 }));
-    }
-
-    #[test]
-    fn implausible_length_rejected() {
-        let mut e = Encoder::new();
-        e.u64(u64::MAX);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        assert!(matches!(d.len_of(), Err(SnapError::Malformed(_))));
-    }
-}
+//! Empty placeholder. This crate held the whole-device snapshot codec,
+//! which was deleted with the save/restore path it served; devices are
+//! reused through the in-memory copy-on-write fork (`SsdImage::fork`)
+//! instead. The crate stays only because the benchmark package's lock file
+//! (`perfbench/Cargo.lock`) still lists it and the dependency edges from
+//! core, flash, ftl, mem, sim and ssd. The next change to the benchmark
+//! removes the crate and those edges together.
