@@ -2,7 +2,6 @@
 //! crossbar, assembles ping-pong banks, and drains results to the host
 //! (Figure 10's control loop, driven demand-side by the cores).
 
-use crate::request::OutputTarget;
 use crate::SsdError;
 use assasin_core::StreamEnv;
 use assasin_flash::{FlashArray, FlashError, PhysPageAddr};
@@ -11,12 +10,23 @@ use assasin_mem::{SharedDram, StreamBuffer};
 use assasin_sim::{Bandwidth, SimDur, SimTime, Timeline};
 use bytes::Bytes;
 
+/// Where an `scomp`'s drained results go.
+#[derive(Debug)]
+pub(crate) enum Sink {
+    /// Read path: results cross SSD DRAM and PCIe to the host.
+    Host,
+    /// Write path: results are programmed back into flash.
+    Flash(FlashOut),
+}
+
 /// Per-request write-path state: each engine appends pages to its own
-/// disjoint LPA region.
+/// disjoint LPA region `next..end`.
 #[derive(Debug)]
 pub(crate) struct FlashOut {
     /// Next LPA per engine.
     pub next: Vec<u64>,
+    /// End (exclusive) of each engine's region.
+    pub end: Vec<u64>,
     /// Pages written so far, per engine.
     pub lpas: Vec<Vec<Lpa>>,
     /// Partially-filled output page per engine.
@@ -24,6 +34,79 @@ pub(crate) struct FlashOut {
     /// Latest program completion per engine (durability horizon).
     pub prog_done: Vec<SimTime>,
     pub page_bytes: u32,
+    /// The first page that could not be written — past its engine's
+    /// region, or refused by the FTL. Later pages are dropped, and
+    /// finalization fails the request with this error.
+    pub error: Option<SsdError>,
+}
+
+impl FlashOut {
+    /// Appends `data` to engine `core`'s output, programming each page as
+    /// it fills. Returns when the producing buffer frees.
+    fn append(
+        &mut self,
+        ftl: &mut Ftl,
+        flash: &mut FlashArray,
+        core: usize,
+        mut data: &[u8],
+        now: SimTime,
+    ) -> SimTime {
+        let page_bytes = self.page_bytes as usize;
+        let mut buffered = now;
+        while !data.is_empty() {
+            let fill = &mut self.fill[core];
+            let take = (page_bytes - fill.len()).min(data.len());
+            fill.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if fill.len() == page_bytes {
+                buffered = buffered.max(self.flush(ftl, flash, core, now));
+            }
+        }
+        buffered
+    }
+
+    /// Writes engine `core`'s pending output page (padded if partial) to
+    /// its next LPA. Returns the bus completion (buffer-free time). A page
+    /// past the engine's region, or one the FTL refuses, is recorded in
+    /// `error` and not written.
+    pub(crate) fn flush(
+        &mut self,
+        ftl: &mut Ftl,
+        flash: &mut FlashArray,
+        core: usize,
+        now: SimTime,
+    ) -> SimTime {
+        if self.fill[core].is_empty() {
+            return now;
+        }
+        let mut page = std::mem::take(&mut self.fill[core]);
+        if self.error.is_some() {
+            // The request has already failed; drop its remaining output.
+            return now;
+        }
+        let lpa = Lpa(self.next[core]);
+        if lpa.0 >= self.end[core] {
+            self.error = Some(SsdError::BadRequest(format!(
+                "write path: engine {core} output overflows its region at {lpa} (the region \
+                 ends before lpa:{}); the kernel wrote more than its declared max_out_per_in",
+                self.end[core]
+            )));
+            return now;
+        }
+        page.resize(self.page_bytes as usize, 0);
+        match ftl.write_detailed(flash, lpa, Bytes::from(page), now) {
+            Ok((bus_done, prog_done)) => {
+                self.next[core] += 1;
+                self.lpas[core].push(lpa);
+                self.prog_done[core] = self.prog_done[core].max(prog_done);
+                bus_done
+            }
+            Err(e) => {
+                self.error = Some(e.into());
+                now
+            }
+        }
+    }
 }
 
 /// One scheduled piece of an input stream: a flash page, possibly trimmed
@@ -126,9 +209,7 @@ pub(crate) struct Backend<'a> {
     pub flash: &'a mut FlashArray,
     pub ftl: &'a mut Ftl,
     /// Where drained output goes.
-    pub target: OutputTarget,
-    /// Write-path bookkeeping (Some iff `target` is flash).
-    pub flash_out: Option<FlashOut>,
+    pub sink: Sink,
     pub dram: SharedDram,
     pub pcie: &'a mut Bandwidth,
     /// Pre-scheduled page deliveries, [core][stream].
@@ -175,7 +256,7 @@ impl Backend<'_> {
         for &t in &self.out_done {
             consider(t);
         }
-        if let Some(fo) = &self.flash_out {
+        if let Sink::Flash(fo) = &self.sink {
             for &t in &fo.prog_done {
                 consider(t);
             }
@@ -187,75 +268,18 @@ impl Backend<'_> {
     /// when the producing buffer frees (the ring-slot release time).
     pub(crate) fn drain(&mut self, core: usize, data: &[u8], now: SimTime) -> SimTime {
         self.outputs[core].extend_from_slice(data);
-        match self.target {
-            OutputTarget::Host => {
+        let done = match &mut self.sink {
+            Sink::Host => {
                 // Read path: stage in DRAM, DMA to the host.
                 let staged = self.dram.borrow_mut().post(now, data.len() as u64);
-                let done = self.pcie.transfer(staged, data.len() as u64) + self.pcie_latency;
-                self.out_done[core] = self.out_done[core].max(done);
-                done
+                self.pcie.transfer(staged, data.len() as u64) + self.pcie_latency
             }
-            OutputTarget::Flash { .. } => {
-                // Write path: results go straight back through the crossbar
-                // into flash pages — no DRAM, no PCIe.
-                let mut buffered = now;
-                let mut cursor = 0usize;
-                while cursor < data.len() {
-                    let page_bytes = {
-                        let fo = self.flash_out.as_ref().expect("write-path state");
-                        fo.page_bytes as usize
-                    };
-                    let room = {
-                        let fo = self.flash_out.as_mut().expect("write-path state");
-                        page_bytes - fo.fill[core].len()
-                    };
-                    let take = room.min(data.len() - cursor);
-                    {
-                        let fo = self.flash_out.as_mut().expect("write-path state");
-                        fo.fill[core].extend_from_slice(&data[cursor..cursor + take]);
-                    }
-                    cursor += take;
-                    let full = {
-                        let fo = self.flash_out.as_ref().expect("write-path state");
-                        fo.fill[core].len() == page_bytes
-                    };
-                    if full {
-                        buffered = buffered.max(self.flush_out_page(core, now));
-                    }
-                }
-                self.out_done[core] = self.out_done[core].max(buffered);
-                buffered
-            }
-        }
-    }
-
-    /// Writes the engine's pending output page (padded if partial) to its
-    /// next LPA. Returns the bus completion (buffer-free time).
-    pub(crate) fn flush_out_page(&mut self, core: usize, now: SimTime) -> SimTime {
-        let page_bytes = self
-            .flash_out
-            .as_ref()
-            .expect("write-path state")
-            .page_bytes as usize;
-        let (lpa, page) = {
-            let fo = self.flash_out.as_mut().expect("write-path state");
-            if fo.fill[core].is_empty() {
-                return now;
-            }
-            let mut page = std::mem::take(&mut fo.fill[core]);
-            page.resize(page_bytes, 0);
-            let lpa = Lpa(fo.next[core]);
-            fo.next[core] += 1;
-            fo.lpas[core].push(lpa);
-            (lpa, Bytes::from(page))
+            // Write path: results go straight back through the crossbar
+            // into flash pages — no DRAM, no PCIe.
+            Sink::Flash(fo) => fo.append(self.ftl, self.flash, core, data, now),
         };
-        let (bus_done, prog_done) = self
-            .ftl
-            .write_detailed(self.flash, lpa, page, now)
-            .expect("write-path region stays within exported capacity");
-        let fo = self.flash_out.as_mut().expect("write-path state");
-        fo.prog_done[core] = fo.prog_done[core].max(prog_done);
-        bus_done
+        self.out_done[core] = self.out_done[core].max(done);
+        done
     }
 }
 

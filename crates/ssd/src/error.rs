@@ -32,8 +32,7 @@ pub enum SsdError {
     /// A simulation invariant failed (e.g. no forward progress).
     Stuck(String),
     /// A request-path state invariant was violated mid-flight (missing
-    /// DRAM window, out-of-range output cursor, absent write-path
-    /// state). A hostile or buggy request program can drive these, so
+    /// DRAM window, out-of-range output cursor). A hostile or buggy request program can drive these, so
     /// they fail the request with a typed error instead of aborting the
     /// process — a long-lived server degrades instead of dying.
     Invariant(String),
