@@ -282,16 +282,6 @@ impl SsdArray {
         &self.stats
     }
 
-    /// Ids of stored objects, ascending.
-    pub fn object_ids(&self) -> Vec<u64> {
-        self.catalog.keys().copied().collect()
-    }
-
-    /// Currently failed devices, ascending.
-    pub fn failed_devices(&self) -> Vec<usize> {
-        (0..self.cfg.devices).filter(|&d| self.failed[d]).collect()
-    }
-
     fn page_bytes(&self) -> u64 {
         self.cfg.device.geometry.page_bytes as u64
     }

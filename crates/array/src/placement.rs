@@ -170,17 +170,6 @@ pub struct StoredObject {
     pub stripes: Vec<StripeLoc>,
 }
 
-impl StoredObject {
-    /// The stripe covering data chunk `chunk`, if any.
-    pub fn stripe_of(&self, chunk: usize) -> Option<&StripeLoc> {
-        if self.stripes.is_empty() {
-            return None;
-        }
-        let width = self.stripes[0].width;
-        self.stripes.get(chunk / width)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

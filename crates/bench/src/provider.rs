@@ -92,17 +92,6 @@ impl SsdScanProvider {
         Ok(SsdScanProvider { ssd, tables })
     }
 
-    /// Same, with the Section VI-F timing adjustment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSD load failures.
-    pub fn new_adjusted(engine: EngineKind, gen: &TpchGen) -> Result<Self, SsdError> {
-        let mut ssd = ssd_with(engine, 8, true, false);
-        let tables = load_tables(&mut ssd, gen)?;
-        Ok(SsdScanProvider { ssd, tables })
-    }
-
     /// Forks a provider off a preloaded dataset instead of re-generating
     /// and re-loading it (byte-identical results to [`SsdScanProvider::new`]).
     pub fn from_tables(engine: EngineKind, adjusted: bool, loaded: &LoadedTables) -> Self {

@@ -137,11 +137,6 @@ impl ArrayInstance {
             .push((name.into(), object, Box::new(make_kernel)));
         self.workloads.len() - 1
     }
-
-    /// The wrapped array (for storing objects).
-    pub fn array_mut(&mut self) -> &mut SsdArray {
-        &mut self.array
-    }
 }
 
 impl Instance for ArrayInstance {

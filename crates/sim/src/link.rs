@@ -62,11 +62,6 @@ impl HostLink {
         self.lanes.len()
     }
 
-    /// Root capacity in bytes per second.
-    pub fn root_bytes_per_sec(&self) -> f64 {
-        self.root.bytes_per_sec()
-    }
-
     /// Charges a transfer of `bytes` from `device`, ready at `ready`
     /// (i.e. already clear of the device's private lane), through the
     /// shared root. Returns the host-visible completion time. Queuing
