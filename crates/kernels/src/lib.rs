@@ -49,6 +49,8 @@ pub mod stat;
 mod style;
 
 #[cfg(test)]
+mod slicing;
+#[cfg(test)]
 pub(crate) mod testutil;
 
 pub use style::{AccessStyle, KernelIo, LaunchInfo};

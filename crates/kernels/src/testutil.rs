@@ -34,24 +34,47 @@ pub fn run_kernel(
 
 /// Stream-style run (AssasinSb configuration).
 pub fn run_stream(program: Program, inputs: &[&[u8]]) -> (Core, Vec<u8>) {
+    let mut env = stream_env(inputs);
+    let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
+    core.run_to_halt(&mut env);
+    assert_halted(&core);
+    let out = stream_output(&mut core, &mut env);
+    (core, out)
+}
+
+/// The environment of a stream-style run: input stream `i` holds
+/// `inputs[i]`.
+pub fn stream_env(inputs: &[&[u8]]) -> SyntheticEnv {
     let mut env = SyntheticEnv::new(8, PAGE);
     for (sid, data) in inputs.iter().enumerate() {
         env.set_input(sid as u32, data);
     }
-    let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
-    core.run_to_halt(&mut env);
-    assert_halted(&core);
+    env
+}
+
+/// Flushes a halted stream-style core's partial last page, as the
+/// firmware would, and returns everything written to output stream 0.
+pub fn stream_output(core: &mut Core, env: &mut SyntheticEnv) -> Vec<u8> {
     if let Some(tail) = core.sbuf_mut().flush(0).expect("stream 0 exists") {
         env.drain_page(0, 0, tail, SimTime::ZERO);
     }
-    let out = env.output(0).to_vec();
-    (core, out)
+    env.output(0).to_vec()
 }
 
 /// Ping-pong run (AssasinSp configuration). Multi-stream inputs are
 /// interleaved into banks as `n` equal chunks, the firmware convention the
 /// kernels expect.
 pub fn run_pingpong(program: Program, inputs: &[&[u8]], granularity: usize) -> (Core, Vec<u8>) {
+    let mut env = pingpong_env(inputs, granularity);
+    let mut core = Core::new(0, CoreConfig::assasin_sp(), program, None);
+    core.run_to_halt(&mut env);
+    assert_halted(&core);
+    let out = env.bank_output().to_vec();
+    (core, out)
+}
+
+/// The environment of a ping-pong run (see [`run_pingpong`]).
+pub fn pingpong_env(inputs: &[&[u8]], granularity: usize) -> SyntheticEnv {
     let n = inputs.len();
     let len = inputs[0].len();
     assert!(
@@ -73,11 +96,7 @@ pub fn run_pingpong(program: Program, inputs: &[&[u8]], granularity: usize) -> (
     let mut env = SyntheticEnv::new(8, PAGE);
     let bank_size = (chunk * n).min(banks.len().max(1));
     env.set_banks(&banks, bank_size);
-    let mut core = Core::new(0, CoreConfig::assasin_sp(), program, None);
-    core.run_to_halt(&mut env);
-    assert_halted(&core);
-    let out = env.bank_output().to_vec();
-    (core, out)
+    env
 }
 
 /// DRAM-staged run (Baseline configuration).
