@@ -8,8 +8,6 @@ use assasin_mem::{
 };
 use assasin_sim::stats::CycleBreakdown;
 use assasin_sim::SimTime;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Dynamic instruction mix, used for reporting and to parameterize the UDP
 /// analytical model.
@@ -66,37 +64,14 @@ pub enum RunOutcome {
     BlockedUntil(SimTime),
 }
 
-/// A single-cycle ALU micro-op in fused form: `rd = op(rs1, src)` where
-/// `src` is either a register index or a pre-resolved immediate. `Lui`
-/// lowers to `add rd, x0, imm` (x0 is hardwired zero, so the result is the
-/// pre-shifted immediate) — one shape covers all three simple ALU forms.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AluUop {
-    op: AluOp,
-    rd: u8,
-    rs1: u8,
-    /// `src` is an immediate (else a register index).
-    imm: bool,
-    src: u32,
-}
-
 /// One predecoded instruction: register fields resolved to raw indices,
 /// immediates pre-shifted/cast to their execution form, and multi-cycle
 /// ALU stalls baked in at decode, so the dispatch loop does no per-step
-/// field conversion beyond a single bounds check on the slot fetch.
-///
-/// The pair variants (`Alu2`, `AluBranch`, `AluJal`, `SlAlu`, `SlBranch`,
-/// `Sl2`, `BrBr`, `LdAlu`, `LdBranch`) are macro-op fusions
-/// produced by [`fuse`]: a fused slot sits at the *first* instruction's
-/// index and executes both halves in one dispatch, while the second
-/// instruction keeps its original slot at its own index — so any branch or
-/// `jalr` landing between the pair executes exactly the unfused tail.
-/// Fusion is timing-transparent: each half charges its own base cycle, and
-/// the pair re-checks the run deadline between halves (see
-/// [`Core::exec_slot`]), so epoch-sliced execution retires the same
-/// instruction at the same cycle as unfused code.
+/// field conversion beyond a single bounds check on the slot fetch. Each
+/// [`Instr`] lowers to exactly one slot (`Alu` splits into `Alu` and
+/// `MulDiv`), so `pc` indexes instructions and slots alike.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Slot {
+enum Slot {
     /// Single-cycle register-register ALU operation.
     Alu {
         op: AluOp,
@@ -178,247 +153,13 @@ pub(crate) enum Slot {
         rd: u8,
         csr: u16,
     },
-    /// Fused pair of single-cycle ALU ops.
-    Alu2 {
-        a: AluUop,
-        b: AluUop,
-    },
-    /// Single-cycle ALU op fused with the following conditional branch.
-    AluBranch {
-        a: AluUop,
-        cond: BranchCond,
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    /// Single-cycle ALU op fused with the following `jal`.
-    AluJal {
-        a: AluUop,
-        rd: u8,
-        target: u32,
-    },
-    /// Stream load fused with the following single-cycle ALU op.
-    SlAlu {
-        rd: u8,
-        sid: u8,
-        width: u8,
-        b: AluUop,
-    },
-    /// Stream load fused with the following conditional branch.
-    SlBranch {
-        rd: u8,
-        sid: u8,
-        width: u8,
-        cond: BranchCond,
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    /// Fused pair of stream loads.
-    Sl2 {
-        rd1: u8,
-        sid1: u8,
-        w1: u8,
-        rd2: u8,
-        sid2: u8,
-        w2: u8,
-    },
-    /// Fused pair of conditional branches (fall-through into the second).
-    BrBr {
-        c1: BranchCond,
-        rs1a: u8,
-        rs2a: u8,
-        t1: u32,
-        c2: BranchCond,
-        rs1b: u8,
-        rs2b: u8,
-        t2: u32,
-    },
-    /// Memory load fused with the following single-cycle ALU op.
-    LdAlu {
-        width: u8,
-        signed: bool,
-        rd: u8,
-        base: u8,
-        offset: u32,
-        b: AluUop,
-    },
-    /// Memory load fused with the following conditional branch.
-    LdBranch {
-        width: u8,
-        signed: bool,
-        rd: u8,
-        base: u8,
-        offset: u32,
-        cond: BranchCond,
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-}
-
-/// The fusable single-cycle ALU forms, as a micro-op.
-fn as_uop(s: Slot) -> Option<AluUop> {
-    match s {
-        Slot::Alu { op, rd, rs1, rs2 } => Some(AluUop {
-            op,
-            rd,
-            rs1,
-            imm: false,
-            src: rs2 as u32,
-        }),
-        Slot::AluImm { op, rd, rs1, imm } => Some(AluUop {
-            op,
-            rd,
-            rs1,
-            imm: true,
-            src: imm,
-        }),
-        Slot::Lui { rd, imm } => Some(AluUop {
-            op: AluOp::Add,
-            rd,
-            rs1: 0,
-            imm: true,
-            src: imm,
-        }),
-        _ => None,
-    }
-}
-
-/// Macro-op fusion pass over the predecoded array. Every index whose
-/// original pair matches a pattern gets a fused slot; the second
-/// instruction's slot is *kept* at its own index (fused slots may overlap:
-/// a run `a b c` fuses to `[ab, bc, c]`, and execution entering at any
-/// index retires exactly the original sequence).
-fn fuse(slots: &mut [Slot]) {
-    let orig: Vec<Slot> = slots.to_vec();
-    for i in 0..orig.len().saturating_sub(1) {
-        let next = orig[i + 1];
-        if let Some(a) = as_uop(orig[i]) {
-            if let Some(b) = as_uop(next) {
-                slots[i] = Slot::Alu2 { a, b };
-            } else if let Slot::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } = next
-            {
-                slots[i] = Slot::AluBranch {
-                    a,
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                };
-            } else if let Slot::Jal { rd, target } = next {
-                slots[i] = Slot::AluJal { a, rd, target };
-            }
-        } else if let Slot::StreamLoad { rd, sid, width } = orig[i] {
-            if let Some(b) = as_uop(next) {
-                slots[i] = Slot::SlAlu { rd, sid, width, b };
-            } else if let Slot::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } = next
-            {
-                slots[i] = Slot::SlBranch {
-                    rd,
-                    sid,
-                    width,
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                };
-            } else if let Slot::StreamLoad {
-                rd: rd2,
-                sid: sid2,
-                width: w2,
-            } = next
-            {
-                slots[i] = Slot::Sl2 {
-                    rd1: rd,
-                    sid1: sid,
-                    w1: width,
-                    rd2,
-                    sid2,
-                    w2,
-                };
-            }
-        } else if let Slot::Branch {
-            cond: c1,
-            rs1: rs1a,
-            rs2: rs2a,
-            target: t1,
-        } = orig[i]
-        {
-            if let Slot::Branch {
-                cond: c2,
-                rs1: rs1b,
-                rs2: rs2b,
-                target: t2,
-            } = next
-            {
-                slots[i] = Slot::BrBr {
-                    c1,
-                    rs1a,
-                    rs2a,
-                    t1,
-                    c2,
-                    rs1b,
-                    rs2b,
-                    t2,
-                };
-            }
-        } else if let Slot::Load {
-            width,
-            signed,
-            rd,
-            base,
-            offset,
-        } = orig[i]
-        {
-            if let Some(b) = as_uop(next) {
-                slots[i] = Slot::LdAlu {
-                    width,
-                    signed,
-                    rd,
-                    base,
-                    offset,
-                    b,
-                };
-            } else if let Slot::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } = next
-            {
-                slots[i] = Slot::LdBranch {
-                    width,
-                    signed,
-                    rd,
-                    base,
-                    offset,
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                };
-            }
-        }
-    }
 }
 
 /// Predecodes a program into the dense execution array the dispatch loop
-/// runs from, then runs the [`fuse`] pass. A representation change only:
-/// every slot sequence executes exactly as the corresponding [`Instr`]s
-/// did.
-fn predecode(program: &Program, cfg: &CoreConfig) -> Arc<[Slot]> {
-    let mut slots: Vec<Slot> = program
+/// runs from. A representation change only: every slot executes exactly
+/// as the corresponding [`Instr`] did.
+fn predecode(program: &Program, cfg: &CoreConfig) -> Box<[Slot]> {
+    program
         .instrs()
         .iter()
         .map(|&i| match i {
@@ -521,60 +262,7 @@ fn predecode(program: &Program, cfg: &CoreConfig) -> Arc<[Slot]> {
                 csr,
             },
         })
-        .collect();
-    fuse(&mut slots);
-    slots.into()
-}
-
-/// Predecode-cache key. The only [`CoreConfig`] inputs to predecode are
-/// the mul/div latencies (baked into `MulDiv` stalls), so programs shared
-/// across engine variants lower once. The program itself is keyed by its
-/// content fingerprint; a hit is verified by full instruction comparison,
-/// so a fingerprint collision can never alias two programs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CodeKey {
-    fingerprint: u64,
-    len: usize,
-    mul_cycles: u32,
-    div_cycles: u32,
-}
-
-/// A cached lowering: the source program (kept for exact hit
-/// verification) and the shared predecoded slots.
-type CachedCode = (Program, Arc<[Slot]>);
-
-static CODE_CACHE: OnceLock<Mutex<HashMap<CodeKey, CachedCode>>> = OnceLock::new();
-
-/// Bound on retained lowerings — far above any real sweep's distinct
-/// (program, latency) count, but keeps a pathological generator from
-/// growing the cache without limit.
-const CODE_CACHE_CAP: usize = 4096;
-
-/// Dedupes [`predecode`] across cores and sweep points: identical programs
-/// lowered with identical latencies share one `Arc`, so a sweep lowers
-/// each kernel once instead of once per core per point.
-fn predecode_cached(program: &Program, cfg: &CoreConfig) -> Arc<[Slot]> {
-    let key = CodeKey {
-        fingerprint: program.fingerprint(),
-        len: program.len(),
-        mul_cycles: cfg.mul_cycles,
-        div_cycles: cfg.div_cycles,
-    };
-    let cache = CODE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut cache = cache.lock().expect("predecode cache poisoned");
-    if let Some((cached, code)) = cache.get(&key) {
-        if cached.instrs() == program.instrs() {
-            return code.clone();
-        }
-        // Fingerprint collision: serve a fresh lowering, leave the cache.
-        return predecode(program, cfg);
-    }
-    let code = predecode(program, cfg);
-    if cache.len() >= CODE_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(key, (program.clone(), code.clone()));
-    code
+        .collect()
 }
 
 /// One in-order scalar core with the Table IV memory structures attached.
@@ -585,9 +273,7 @@ pub struct Core {
     regs: [u32; 32],
     pc: u32,
     /// Predecoded execution array (see [`Slot`]); `pc` indexes into it.
-    /// Shared via the predecode cache: cores built from the same program
-    /// and latency config point at the same allocation.
-    code: Arc<[Slot]>,
+    code: Box<[Slot]>,
     cycle: u64,
     state: CoreState,
     scratchpad: Scratchpad,
@@ -621,7 +307,7 @@ impl Core {
             )
         });
         let staging = (cfg.kind == EngineKind::AssasinSp).then(|| PingPong::new(cfg.staging_bytes));
-        let code = predecode_cached(&program, &cfg);
+        let code = predecode(&program, &cfg);
         Core {
             id,
             cfg,
@@ -803,10 +489,10 @@ impl Core {
     /// The dispatch loop shared by [`Core::run`] and [`Core::run_to_halt`]:
     /// runs while the core is running and its clock is below
     /// `cycle_limit`, then flushes the batched per-instruction counters.
-    pub(crate) fn run_cycles(&mut self, env: &mut dyn StreamEnv, cycle_limit: u64) {
+    fn run_cycles(&mut self, env: &mut dyn StreamEnv, cycle_limit: u64) {
         let mut retired = 0u64;
         while self.state == CoreState::Running && self.cycle < cycle_limit {
-            retired += self.step_inner(env, cycle_limit) as u64;
+            retired += self.step_inner(env);
         }
         self.flush_retired(retired);
     }
@@ -819,17 +505,6 @@ impl Core {
         &self.state
     }
 
-    /// Executes one instruction. (The limit of `cycle + 1` makes a fused
-    /// pair stop after its first half, so `step` retires exactly one
-    /// architectural instruction.)
-    pub fn step(&mut self, env: &mut dyn StreamEnv) {
-        if self.state != CoreState::Running {
-            return;
-        }
-        let n = self.step_inner(env, self.cycle + 1);
-        self.flush_retired(n as u64);
-    }
-
     /// The issue time of the instruction dispatched at `cycle` — computed
     /// lazily, only by the handlers that model memory or stream timing
     /// (ALU and control flow never pay the conversion).
@@ -838,43 +513,24 @@ impl Core {
     }
 
     /// Fetches and dispatches one slot. Returns the number of instructions
-    /// retired: 0 on a fetch wedge, 2 when a fused pair completed, else 1.
+    /// retired: 0 on a fetch wedge, else 1.
     #[inline(always)]
-    fn step_inner(&mut self, env: &mut dyn StreamEnv, limit: u64) -> u32 {
+    fn step_inner(&mut self, env: &mut dyn StreamEnv) -> u64 {
         let Some(&slot) = self.code.get(self.pc as usize) else {
             self.wedge("pc past end of program".into());
             return 0;
         };
-        self.exec_slot(slot, env, limit)
+        self.exec_slot(slot, env);
+        1
     }
 
-    /// Executes one single-cycle ALU micro-op (one half of a fused pair).
-    #[inline(always)]
-    fn exec_uop(&mut self, u: AluUop) {
-        let a = self.regs[u.rs1 as usize];
-        let b = if u.imm {
-            u.src
-        } else {
-            self.regs[u.src as usize]
-        };
-        let v = alu_eval(u.op, a, b);
-        self.set_reg_idx(u.rd, v);
-        self.mix.alu += 1;
-    }
-
-    /// Dispatches one predecoded slot (two architectural instructions for
-    /// the fused variants). Returns the retired count, which the callers
-    /// batch into `mix.total` plus base busy cycles.
-    ///
-    /// `limit` is the run deadline in cycles: a fused pair re-checks it
-    /// between halves and stops with `pc` on the second instruction when
-    /// the first half crossed it, so epoch-sliced execution retires the
-    /// same instructions at the same cycles as unfused dispatch.
+    /// Dispatches one predecoded slot, which retires one instruction; the
+    /// callers batch that into `mix.total` plus a base busy cycle.
     ///
     /// Assumes the core is running — the state check is hoisted into the
-    /// dispatch loops ([`Core::run_cycles`] and [`Core::step`]).
+    /// dispatch loop ([`Core::run_cycles`]).
     #[inline(always)]
-    pub(crate) fn exec_slot(&mut self, slot: Slot, env: &mut dyn StreamEnv, limit: u64) -> u32 {
+    fn exec_slot(&mut self, slot: Slot, env: &mut dyn StreamEnv) {
         let issue_cycle = self.cycle;
         let mut next_pc = self.pc + 1;
         // Base cost: one cycle, charged up front; stalls add on top.
@@ -913,278 +569,6 @@ impl Core {
                 self.set_reg_idx(rd, imm);
                 self.mix.alu += 1;
             }
-            Slot::Alu2 { a, b } => {
-                self.exec_uop(a);
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.exec_uop(b);
-                self.pc += 2;
-                return 2;
-            }
-            Slot::AluBranch {
-                a,
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                self.exec_uop(a);
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.mix.branches += 1;
-                let x = self.regs[rs1 as usize];
-                let y = self.regs[rs2 as usize];
-                if branch_eval(cond, x, y) {
-                    self.mix.taken += 1;
-                    self.pc = target;
-                    let pen = self.cfg.branch_penalty as u64;
-                    self.breakdown.busy += pen;
-                    self.cycle += pen;
-                } else {
-                    self.pc += 2;
-                }
-                return 2;
-            }
-            Slot::AluJal { a, rd, target } => {
-                self.exec_uop(a);
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.mix.jumps += 1;
-                let link = self.pc + 2;
-                self.set_reg_idx(rd, link);
-                self.pc = target;
-                let pen = self.cfg.branch_penalty as u64;
-                self.breakdown.busy += pen;
-                self.cycle += pen;
-                return 2;
-            }
-            Slot::SlAlu { rd, sid, width, b } => {
-                self.mix.stream_loads += 1;
-                match self.stream_load(env, sid as u32, width as u32, self.issue_at(issue_cycle)) {
-                    Ok(Some(v)) => self.set_reg_idx(rd, v),
-                    // Halted on an exhausted stream: `pc` stays on the
-                    // fused index, matching the scalar early return.
-                    Ok(None) => return 1,
-                    Err(msg) => {
-                        self.wedge(msg);
-                        return 1;
-                    }
-                }
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.exec_uop(b);
-                self.pc += 2;
-                return 2;
-            }
-            Slot::SlBranch {
-                rd,
-                sid,
-                width,
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                self.mix.stream_loads += 1;
-                match self.stream_load(env, sid as u32, width as u32, self.issue_at(issue_cycle)) {
-                    Ok(Some(v)) => self.set_reg_idx(rd, v),
-                    Ok(None) => return 1, // halted on exhausted stream
-                    Err(msg) => {
-                        self.wedge(msg);
-                        return 1;
-                    }
-                }
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.mix.branches += 1;
-                let x = self.regs[rs1 as usize];
-                let y = self.regs[rs2 as usize];
-                if branch_eval(cond, x, y) {
-                    self.mix.taken += 1;
-                    self.pc = target;
-                    let pen = self.cfg.branch_penalty as u64;
-                    self.breakdown.busy += pen;
-                    self.cycle += pen;
-                } else {
-                    self.pc += 2;
-                }
-                return 2;
-            }
-            Slot::Sl2 {
-                rd1,
-                sid1,
-                w1,
-                rd2,
-                sid2,
-                w2,
-            } => {
-                self.mix.stream_loads += 1;
-                match self.stream_load(env, sid1 as u32, w1 as u32, self.issue_at(issue_cycle)) {
-                    Ok(Some(v)) => self.set_reg_idx(rd1, v),
-                    Ok(None) => return 1, // halted on exhausted stream
-                    Err(msg) => {
-                        self.wedge(msg);
-                        return 1;
-                    }
-                }
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                let issue2 = self.cycle;
-                self.cycle += 1;
-                self.mix.stream_loads += 1;
-                match self.stream_load(env, sid2 as u32, w2 as u32, self.issue_at(issue2)) {
-                    Ok(Some(v)) => self.set_reg_idx(rd2, v),
-                    // Second half halted/wedged: `pc` rests on the second
-                    // instruction, exactly where unfused dispatch stops.
-                    Ok(None) => {
-                        self.pc += 1;
-                        return 2;
-                    }
-                    Err(msg) => {
-                        self.wedge(msg);
-                        self.pc += 1;
-                        return 2;
-                    }
-                }
-                self.pc += 2;
-                return 2;
-            }
-            Slot::BrBr {
-                c1,
-                rs1a,
-                rs2a,
-                t1,
-                c2,
-                rs1b,
-                rs2b,
-                t2,
-            } => {
-                self.mix.branches += 1;
-                let x = self.regs[rs1a as usize];
-                let y = self.regs[rs2a as usize];
-                if branch_eval(c1, x, y) {
-                    self.mix.taken += 1;
-                    self.pc = t1;
-                    let pen = self.cfg.branch_penalty as u64;
-                    self.breakdown.busy += pen;
-                    self.cycle += pen;
-                    return 1;
-                }
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.mix.branches += 1;
-                let x = self.regs[rs1b as usize];
-                let y = self.regs[rs2b as usize];
-                if branch_eval(c2, x, y) {
-                    self.mix.taken += 1;
-                    self.pc = t2;
-                    let pen = self.cfg.branch_penalty as u64;
-                    self.breakdown.busy += pen;
-                    self.cycle += pen;
-                } else {
-                    self.pc += 2;
-                }
-                return 2;
-            }
-            Slot::LdAlu {
-                width,
-                signed,
-                rd,
-                base,
-                offset,
-                b,
-            } => {
-                self.mix.loads += 1;
-                let addr = self.regs[base as usize].wrapping_add(offset) as u64;
-                match self.mem_load(addr, width as u32, self.issue_at(issue_cycle)) {
-                    Ok(raw) => {
-                        let v = if signed {
-                            sign_extend(raw, width as u32)
-                        } else {
-                            raw
-                        };
-                        self.set_reg_idx(rd, v);
-                    }
-                    Err(msg) => {
-                        self.wedge(msg);
-                        return 1;
-                    }
-                }
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.exec_uop(b);
-                self.pc += 2;
-                return 2;
-            }
-            Slot::LdBranch {
-                width,
-                signed,
-                rd,
-                base,
-                offset,
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                self.mix.loads += 1;
-                let addr = self.regs[base as usize].wrapping_add(offset) as u64;
-                match self.mem_load(addr, width as u32, self.issue_at(issue_cycle)) {
-                    Ok(raw) => {
-                        let v = if signed {
-                            sign_extend(raw, width as u32)
-                        } else {
-                            raw
-                        };
-                        self.set_reg_idx(rd, v);
-                    }
-                    Err(msg) => {
-                        self.wedge(msg);
-                        return 1;
-                    }
-                }
-                if self.cycle >= limit {
-                    self.pc += 1;
-                    return 1;
-                }
-                self.cycle += 1;
-                self.mix.branches += 1;
-                let x = self.regs[rs1 as usize];
-                let y = self.regs[rs2 as usize];
-                if branch_eval(cond, x, y) {
-                    self.mix.taken += 1;
-                    self.pc = target;
-                    let pen = self.cfg.branch_penalty as u64;
-                    self.breakdown.busy += pen;
-                    self.cycle += pen;
-                } else {
-                    self.pc += 2;
-                }
-                return 2;
-            }
             Slot::Load {
                 width,
                 signed,
@@ -1205,7 +589,7 @@ impl Core {
                     }
                     Err(msg) => {
                         self.wedge(msg);
-                        return 1;
+                        return;
                     }
                 }
             }
@@ -1222,7 +606,7 @@ impl Core {
                     self.mem_store(addr, width as u32, value, self.issue_at(issue_cycle))
                 {
                     self.wedge(msg);
-                    return 1;
+                    return;
                 }
             }
             Slot::Branch {
@@ -1261,16 +645,16 @@ impl Core {
             }
             Slot::Halt => {
                 self.state = CoreState::Halted;
-                return 1;
+                return;
             }
             Slot::StreamLoad { rd, sid, width } => {
                 self.mix.stream_loads += 1;
                 match self.stream_load(env, sid as u32, width as u32, self.issue_at(issue_cycle)) {
                     Ok(Some(v)) => self.set_reg_idx(rd, v),
-                    Ok(None) => return 1, // halted on exhausted stream
+                    Ok(None) => return, // halted on exhausted stream
                     Err(msg) => {
                         self.wedge(msg);
-                        return 1;
+                        return;
                     }
                 }
             }
@@ -1285,7 +669,7 @@ impl Core {
                     self.issue_at(issue_cycle),
                 ) {
                     self.wedge(msg);
-                    return 1;
+                    return;
                 }
             }
             Slot::StreamAvail { rd, sid } => {
@@ -1314,7 +698,7 @@ impl Core {
             Slot::BufSwap { bank } => {
                 if let Err(msg) = self.buf_swap(env, bank, self.issue_at(issue_cycle)) {
                     self.wedge(msg);
-                    return 1;
+                    return;
                 }
             }
             Slot::CsrR { rd, csr: num } => {
@@ -1323,7 +707,6 @@ impl Core {
             }
         }
         self.pc = next_pc;
-        1
     }
 
     fn read_csr(&self, num: u16) -> u32 {

@@ -59,35 +59,6 @@ impl Program {
     pub fn code_bytes(&self) -> usize {
         self.instrs.len() * 4
     }
-
-    /// A stable 64-bit content fingerprint of the instruction sequence
-    /// (FNV-1a over the instructions' `Hash` feed). Names are excluded:
-    /// two programs with identical code share a fingerprint, which is what
-    /// the predecode cache keys on. Collisions are guarded by full
-    /// instruction comparison at the use site.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::Hash;
-        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
-        self.instrs.hash(&mut h);
-        h.0
-    }
-}
-
-/// FNV-1a, the repo-wide stable hash (same constants as the golden report
-/// hashes) — `DefaultHasher` makes no cross-version stability promise.
-struct Fnv1a(u64);
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
 }
 
 impl fmt::Display for Program {
@@ -125,24 +96,6 @@ mod tests {
         assert_eq!(p.fetch(0), Some(Instr::Halt));
         assert_eq!(p.fetch(2), None);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn fingerprint_tracks_code_not_name() {
-        let code = vec![
-            Instr::Alu {
-                op: AluOp::Add,
-                rd: Reg::A0,
-                rs1: Reg::A0,
-                rs2: Reg::A1,
-            },
-            Instr::Halt,
-        ];
-        let a = Program::from_instrs("a", code.clone());
-        let b = Program::from_instrs("b", code);
-        assert_eq!(a.fingerprint(), b.fingerprint(), "names are excluded");
-        let c = Program::from_instrs("a", vec![Instr::Halt]);
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
