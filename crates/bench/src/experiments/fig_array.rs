@@ -19,10 +19,7 @@
 //!    including a skewed small-object layout where the failed device
 //!    held a disproportionate share of the chunks.
 //!
-//! Topology knobs: `ASSASIN_ARRAY_DEVICES` caps the scaling sweep
-//! (default 8) and `ASSASIN_ARRAY_PLACEMENT` picks its placement
-//! (`striped`, `replicated`, `raid4`, `raid6`; default `striped`).
-//! Malformed values are hard errors, not silent defaults.
+//! The scaling sweep stripes over up to `MAX_DEVICES` devices.
 
 use crate::bundles;
 use crate::report;
@@ -126,34 +123,8 @@ fn widths(max: usize) -> Vec<usize> {
     out
 }
 
-/// `ASSASIN_ARRAY_DEVICES`: scaling-sweep device cap, default 8. A
-/// set-but-malformed value is a hard error.
-fn env_devices() -> usize {
-    match std::env::var("ASSASIN_ARRAY_DEVICES") {
-        Err(std::env::VarError::NotPresent) => 8,
-        Err(e) => panic!("ASSASIN_ARRAY_DEVICES is not valid unicode: {e}"),
-        Ok(s) => match s.parse::<usize>() {
-            Ok(n) if (1..=64).contains(&n) => n,
-            _ => panic!("invalid ASSASIN_ARRAY_DEVICES {s:?}: expected 1..=64"),
-        },
-    }
-}
-
-/// `ASSASIN_ARRAY_PLACEMENT`: placement for the scaling sweep, default
-/// `striped`. A set-but-unknown policy is a hard error.
-fn env_placement() -> String {
-    match std::env::var("ASSASIN_ARRAY_PLACEMENT") {
-        Err(std::env::VarError::NotPresent) => "striped".to_string(),
-        Err(e) => panic!("ASSASIN_ARRAY_PLACEMENT is not valid unicode: {e}"),
-        Ok(s) => match s.as_str() {
-            "striped" | "replicated" | "raid4" | "raid6" => s,
-            _ => panic!(
-                "invalid ASSASIN_ARRAY_PLACEMENT {s:?}: \
-                 expected striped, replicated, raid4, or raid6"
-            ),
-        },
-    }
-}
+/// Widest array in the scaling sweep.
+const MAX_DEVICES: usize = 8;
 
 fn placement_by_name(name: &str) -> ArrayPlacement {
     match name {
@@ -269,32 +240,24 @@ fn rebuild_point(
 /// report is byte-identical for `Serial` and `Threaded` — that is the
 /// determinism contract, tested in `crates/array/tests/determinism.rs`.
 pub fn run_with(scale: &Scale, exec: ArrayExec) -> ArrayReport {
-    let max_devices = env_devices();
-    let sweep_placement = env_placement();
     let object_bytes = scale.scalability_bytes;
     let data = pattern(object_bytes, scale.seed);
 
-    let mut scaling = Vec::new();
-    for d in widths(max_devices) {
-        let placement = placement_by_name(&sweep_placement);
-        if d < placement.min_devices() {
-            continue;
-        }
-        scaling.push(scaling_point(d, &sweep_placement, placement, exec, &data));
-    }
-    if max_devices >= 2 {
-        // The skew row: one device weighted 4x, the rest 1x — the heavy
-        // lane's longer scan dominates the offload.
-        let mut weights = vec![1u32; max_devices];
-        weights[0] = 4;
-        scaling.push(scaling_point(
-            max_devices,
-            "weighted",
-            ArrayPlacement::WeightedStriped { weights },
-            exec,
-            &data,
-        ));
-    }
+    let mut scaling: Vec<ScalingPoint> = widths(MAX_DEVICES)
+        .into_iter()
+        .map(|d| scaling_point(d, "striped", ArrayPlacement::Striped, exec, &data))
+        .collect();
+    // The skew row: one device weighted 4x, the rest 1x — the heavy
+    // lane's longer scan dominates the offload.
+    let mut weights = vec![1u32; MAX_DEVICES];
+    weights[0] = 4;
+    scaling.push(scaling_point(
+        MAX_DEVICES,
+        "weighted",
+        ArrayPlacement::WeightedStriped { weights },
+        exec,
+        &data,
+    ));
 
     let degraded = vec![
         degraded_point("replicated", 3, &[0], exec, &data),

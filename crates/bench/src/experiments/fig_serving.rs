@@ -22,19 +22,15 @@
 //!    before resubmitting; offered load self-throttles to capacity, so
 //!    nothing is rejected and utilization approaches 1.
 //!
-//! Serving knobs: `ASSASIN_SERVE_TENANTS` (load-curve tenants, default
-//! 2), `ASSASIN_SERVE_DEPTH` (per-tenant queue depth, default 16),
-//! `ASSASIN_SERVE_SEED` (load-generator seed, default the scale's), and
-//! `ASSASIN_SERVE_ARRIVAL` (`open`/`closed` load-curve arrivals, default
-//! `open`). Malformed values are hard errors, not silent defaults.
+//! The load curve runs `TENANTS` open-loop tenants with per-tenant
+//! queues `QUEUE_DEPTH` deep, seeded by the scale's seed.
 
 use crate::bundles;
 use crate::report;
 use crate::Scale;
 use assasin_core::EngineKind;
 use assasin_serve::{
-    arrival_from_env, depth_from_env, seed_from_env, serve, tenants_from_env, ArrivalKind,
-    ArrivalModel, Instance, ServeConfig, ServeReport, SsdInstance, TenantReport, TenantSpec,
+    serve, ArrivalModel, Instance, ServeConfig, ServeReport, SsdInstance, TenantReport, TenantSpec,
 };
 use assasin_sim::SimDur;
 use assasin_ssd::{ScompRequest, Ssd, SsdConfig};
@@ -47,6 +43,12 @@ pub const LOAD_MULTIPLIERS: [f64; 5] = [0.5, 0.8, 1.2, 2.0, 4.0];
 
 /// Requests each load-curve tenant offers per point.
 const REQUESTS_PER_TENANT: u32 = 50;
+
+/// Tenants on the load curve.
+const TENANTS: usize = 2;
+
+/// Per-tenant admission queue depth in every scenario.
+const QUEUE_DEPTH: usize = 16;
 
 /// One offered-load point.
 #[derive(Debug, Clone, Serialize)]
@@ -122,23 +124,12 @@ fn build_instance(scale: &Scale) -> SsdInstance {
     inst
 }
 
-/// Load-curve arrival model at one offered multiplier: open loop fixes
-/// the aggregate rate at `mult * capacity` across `tenants`; closed loop
-/// scales the client fleet instead (and self-throttles at capacity).
-fn arrival_at(mult: f64, tenants: usize, base: SimDur, kind: ArrivalKind) -> ArrivalModel {
-    match kind {
-        ArrivalKind::Open => ArrivalModel::Open {
-            mean_gap: SimDur::from_ps((base.as_ps() as f64 * tenants as f64 / mult) as u64),
-            requests: REQUESTS_PER_TENANT,
-        },
-        ArrivalKind::Closed => {
-            let concurrency = ((2.0 * mult).round() as u32).max(1);
-            ArrivalModel::Closed {
-                concurrency,
-                think: base,
-                requests_per_client: (REQUESTS_PER_TENANT / concurrency).max(1),
-            }
-        }
+/// Load-curve arrival model at one offered multiplier: open loop, with
+/// the aggregate rate fixed at `mult * capacity` across `tenants`.
+fn arrival_at(mult: f64, tenants: usize, base: SimDur) -> ArrivalModel {
+    ArrivalModel::Open {
+        mean_gap: SimDur::from_ps((base.as_ps() as f64 * tenants as f64 / mult) as u64),
+        requests: REQUESTS_PER_TENANT,
     }
 }
 
@@ -148,10 +139,7 @@ fn run_serving(instance: &mut SsdInstance, cfg: &ServeConfig) -> ServeReport {
 
 /// Runs the serving experiment.
 pub fn run(scale: &Scale) -> ServingReport {
-    let tenants = tenants_from_env().unwrap_or(2);
-    let queue_depth = depth_from_env().unwrap_or(16);
-    let seed = seed_from_env().unwrap_or(scale.seed);
-    let arrival = arrival_from_env().unwrap_or(ArrivalKind::Open);
+    let (tenants, queue_depth, seed) = (TENANTS, QUEUE_DEPTH, scale.seed);
 
     let mut instance = build_instance(scale);
     // Capacity calibration: one genuine execution of the scan workload
@@ -178,7 +166,7 @@ pub fn run(scale: &Scale) -> ServingReport {
                     TenantSpec::new(
                         format!("tenant{i}"),
                         queue_depth,
-                        arrival_at(mult, tenants, base, arrival),
+                        arrival_at(mult, tenants, base),
                     )
                     .with_mix(mix)
                     .with_slo(slo)
@@ -242,7 +230,7 @@ pub fn run(scale: &Scale) -> ServingReport {
         seed,
         vec![TenantSpec::new(
             "closed",
-            queue_depth.max(8),
+            queue_depth,
             ArrivalModel::Closed {
                 concurrency: 8,
                 think: base,
@@ -258,10 +246,7 @@ pub fn run(scale: &Scale) -> ServingReport {
         seed,
         tenants,
         queue_depth,
-        arrival: match arrival {
-            ArrivalKind::Open => "open".to_string(),
-            ArrivalKind::Closed => "closed".to_string(),
-        },
+        arrival: "open".to_string(),
         base_service_us: base.as_ps() as f64 * 1e-6,
         load_curve,
         fairness,

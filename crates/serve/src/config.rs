@@ -1,11 +1,4 @@
-//! Serving configuration: tenant specs, arrival models, and the
-//! `ASSASIN_SERVE_*` environment knobs.
-//!
-//! The knobs follow the `parse_thread_env` pattern from
-//! `crates/parallel`: each parser is a pure, unit-testable function, and
-//! a *set but malformed* variable is a hard error — a CI job that typos
-//! `ASSASIN_SERVE_TENANTS="four"` must not quietly serve whatever
-//! default the box happens to have.
+//! Serving configuration: tenant specs and arrival models.
 
 use crate::error::ServeError;
 use assasin_sim::SimDur;
@@ -163,145 +156,9 @@ impl ServeConfig {
     }
 }
 
-/// Arrival-model selector for the env knob (the full model's rates come
-/// from the experiment; the knob only flips the loop shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalKind {
-    /// Open-loop arrivals.
-    Open,
-    /// Closed-loop arrivals.
-    Closed,
-}
-
-/// Parses `ASSASIN_SERVE_TENANTS`: a tenant count in `1..=64`.
-///
-/// # Errors
-///
-/// Anything else — empty, zero, out of range, non-numeric — returns a
-/// description; the env reader turns it into a hard panic.
-pub fn parse_tenants(value: &str) -> Result<usize, String> {
-    parse_ranged(value, 1, 64, "tenant count")
-}
-
-/// Parses `ASSASIN_SERVE_DEPTH`: a per-tenant queue depth in `1..=4096`.
-///
-/// # Errors
-///
-/// See [`parse_tenants`].
-pub fn parse_depth(value: &str) -> Result<usize, String> {
-    parse_ranged(value, 1, 4096, "queue depth")
-}
-
-/// Parses `ASSASIN_SERVE_SEED`: a `u64` load-generator seed.
-///
-/// # Errors
-///
-/// Empty or non-numeric values return a description (zero is a valid
-/// seed).
-pub fn parse_seed(value: &str) -> Result<u64, String> {
-    let trimmed = value.trim();
-    if trimmed.is_empty() {
-        return Err("empty value (unset the variable to use the default)".into());
-    }
-    trimmed
-        .parse::<u64>()
-        .map_err(|e| format!("not a seed: {e}"))
-}
-
-/// Parses `ASSASIN_SERVE_ARRIVAL`: `open` or `closed` (case-insensitive).
-///
-/// # Errors
-///
-/// Anything else returns a description.
-pub fn parse_arrival(value: &str) -> Result<ArrivalKind, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "open" => Ok(ArrivalKind::Open),
-        "closed" => Ok(ArrivalKind::Closed),
-        "" => Err("empty value (unset the variable to use the default)".into()),
-        other => Err(format!("expected \"open\" or \"closed\", got {other:?}")),
-    }
-}
-
-fn parse_ranged(value: &str, lo: usize, hi: usize, what: &str) -> Result<usize, String> {
-    let trimmed = value.trim();
-    if trimmed.is_empty() {
-        return Err("empty value (unset the variable to use the default)".into());
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if (lo..=hi).contains(&n) => Ok(n),
-        Ok(n) => Err(format!("{what} {n} out of range {lo}..={hi}")),
-        Err(e) => Err(format!("not a {what}: {e}")),
-    }
-}
-
-/// Reads one `ASSASIN_SERVE_*` knob, returning `None` when unset and
-/// panicking on a set-but-malformed value.
-fn env_knob<T>(name: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => None,
-        Err(e) => panic!("{name} is not valid unicode: {e}"),
-        Ok(v) => match parse(&v) {
-            Ok(t) => Some(t),
-            Err(why) => panic!("invalid {name} {v:?}: {why}"),
-        },
-    }
-}
-
-/// `ASSASIN_SERVE_TENANTS`, if set (malformed values panic).
-pub fn tenants_from_env() -> Option<usize> {
-    env_knob("ASSASIN_SERVE_TENANTS", parse_tenants)
-}
-
-/// `ASSASIN_SERVE_DEPTH`, if set (malformed values panic).
-pub fn depth_from_env() -> Option<usize> {
-    env_knob("ASSASIN_SERVE_DEPTH", parse_depth)
-}
-
-/// `ASSASIN_SERVE_SEED`, if set (malformed values panic).
-pub fn seed_from_env() -> Option<u64> {
-    env_knob("ASSASIN_SERVE_SEED", parse_seed)
-}
-
-/// `ASSASIN_SERVE_ARRIVAL`, if set (malformed values panic).
-pub fn arrival_from_env() -> Option<ArrivalKind> {
-    env_knob("ASSASIN_SERVE_ARRIVAL", parse_arrival)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tenant_and_depth_parsers_reject_malformed_values() {
-        assert_eq!(parse_tenants("4"), Ok(4));
-        assert_eq!(parse_tenants(" 64 "), Ok(64));
-        for bad in ["", "  ", "0", "65", "-1", "four", "4 tenants", "4.0"] {
-            assert!(parse_tenants(bad).is_err(), "accepted {bad:?}");
-        }
-        assert_eq!(parse_depth("1"), Ok(1));
-        assert_eq!(parse_depth("4096"), Ok(4096));
-        for bad in ["", "0", "4097", "deep", "1e3"] {
-            assert!(parse_depth(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn seed_parser_accepts_zero_and_rejects_junk() {
-        assert_eq!(parse_seed("0"), Ok(0));
-        assert_eq!(parse_seed("18446744073709551615"), Ok(u64::MAX));
-        for bad in ["", "0x10", "-1", "seed", "1.5"] {
-            assert!(parse_seed(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn arrival_parser_is_case_insensitive_and_strict() {
-        assert_eq!(parse_arrival("open"), Ok(ArrivalKind::Open));
-        assert_eq!(parse_arrival(" Closed "), Ok(ArrivalKind::Closed));
-        for bad in ["", "open-loop", "poisson", "1"] {
-            assert!(parse_arrival(bad).is_err(), "accepted {bad:?}");
-        }
-    }
 
     #[test]
     fn validate_names_the_offending_tenant() {

@@ -22,11 +22,6 @@
 //! [`server`]): the same `(config, seed)` serializes to byte-identical
 //! report JSON at any thread count, which the serving determinism suite
 //! property-tests.
-//!
-//! Runtime knobs (`ASSASIN_SERVE_TENANTS`, `ASSASIN_SERVE_DEPTH`,
-//! `ASSASIN_SERVE_SEED`, `ASSASIN_SERVE_ARRIVAL`) follow the repo's
-//! hard-error pattern: unset means default, set-but-malformed panics
-//! ([`config`]).
 
 pub mod config;
 pub mod error;
@@ -37,10 +32,7 @@ pub mod sched;
 pub mod server;
 pub mod transport;
 
-pub use config::{
-    arrival_from_env, depth_from_env, seed_from_env, tenants_from_env, ArrivalKind, ArrivalModel,
-    ServeConfig, TenantSpec,
-};
+pub use config::{ArrivalModel, ServeConfig, TenantSpec};
 pub use error::ServeError;
 pub use instance::{ArrayInstance, Instance, ServiceProfile, SsdInstance};
 pub use loadgen::{SplitMix64, TenantLoad};
