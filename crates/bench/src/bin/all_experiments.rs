@@ -1,16 +1,18 @@
-//! Runs the full evaluation (every table and figure) and writes text +
-//! JSON reports under `reports/`.
+//! Runs the evaluation (every table and figure) and writes text + JSON
+//! reports under `reports/`. This is the one way to run an experiment.
 //!
 //! Independent experiments run concurrently as sweep tasks (the fig21
 //! result feeds fig22, so those two share a task); reports print and save
 //! in a fixed canonical order regardless of completion order, so serial
 //! (`RAYON_NUM_THREADS=1`) and parallel runs produce identical output.
 //!
-//! `--filter <name>` (repeatable, comma-separable) or the `ASSASIN_FILTER`
-//! environment variable restricts the run to tasks whose name contains one
-//! of the given substrings — e.g. `--filter fig16,fig19` or
-//! `ASSASIN_FILTER=fig15` — for iterating on one experiment without
-//! paying for the whole suite.
+//! `--filter <name>` (repeatable, comma-separable) restricts the run to
+//! tasks whose name contains one of the given substrings — e.g.
+//! `--filter fig16,fig19` — for iterating on one experiment without
+//! paying for the whole suite. Filters that match no task exit 2.
+//!
+//! The committed `reports/` pin the default scale, so a run at any other
+//! `ASSASIN_SCALE` prints its reports and writes none.
 //!
 //! The last line on standard error is one JSON object with the run's
 //! wall times: `{"nproc", "threads", "scale", "total_s", "tasks": {name:
@@ -60,7 +62,7 @@ fn save(name: &str, text: &str, json: &serde_json::Value) {
 }
 
 /// Task-name filters from `--filter` arguments (repeatable, each value
-/// may be comma-separated) plus `ASSASIN_FILTER`. Empty = run everything.
+/// may be comma-separated). Empty = run everything.
 fn filters() -> Vec<String> {
     let mut out = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -78,9 +80,6 @@ fn filters() -> Vec<String> {
         };
         out.extend(value.split(',').map(str::to_string));
     }
-    if let Ok(env) = std::env::var("ASSASIN_FILTER") {
-        out.extend(env.split(',').map(str::to_string));
-    }
     out.retain(|f| !f.trim().is_empty());
     out
 }
@@ -88,6 +87,7 @@ fn filters() -> Vec<String> {
 fn main() {
     let mult = Scale::env_multiplier();
     let scale = Scale::scaled(mult);
+    let write_reports = scale == Scale::default_scale();
     let filters = filters();
     let t0 = Instant::now();
     type Task = (&'static str, Box<dyn Fn() -> Vec<Report> + Send + Sync>);
@@ -177,7 +177,9 @@ fn main() {
         tasks.insert(name, secs);
         for (name, text, json) in reports {
             println!("{text}");
-            save(name, &text, &json);
+            if write_reports {
+                save(name, &text, &json);
+            }
         }
     }
     let total_s = t0.elapsed().as_secs_f64();

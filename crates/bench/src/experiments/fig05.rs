@@ -8,7 +8,6 @@
 use crate::bundles::filter_bundle;
 use crate::report;
 use crate::runner::{offload, ssd_with};
-use crate::sweep;
 use crate::Scale;
 use assasin_core::EngineKind;
 use assasin_kernels::query::FilterParams;
@@ -46,22 +45,17 @@ pub struct Fig05Report {
     pub dram_requirement_gbps: f64,
 }
 
-/// Runs the experiment — a single-point sweep (one core, one workload).
+/// Runs the experiment: one Baseline core filters lineitem.
 pub fn run(scale: &Scale) -> Fig05Report {
     let gen = TpchGen::new(scale.sf.max(0.002), scale.seed);
     let data = gen.table(TableId::Lineitem).to_binary();
-    let point = sweep::SweepPoint::new("filter", EngineKind::Baseline).cores(1);
-    let result = sweep::run_points(&[point], |p| {
-        let mut ssd = ssd_with(p.engine, p.n_cores, p.adjusted, p.channel_local);
-        offload(
-            &mut ssd,
-            filter_bundle(motivating_filter()),
-            std::slice::from_ref(&data),
-        )
-        .expect("filter offload completes")
-    })
-    .pop()
-    .expect("one point");
+    let mut ssd = ssd_with(EngineKind::Baseline, 1, false, false);
+    let result = offload(
+        &mut ssd,
+        filter_bundle(motivating_filter()),
+        std::slice::from_ref(&data),
+    )
+    .expect("filter offload completes");
     let b = result.total_breakdown();
     let total = b.total().max(1) as f64;
     let per_byte = result.dram_per_input_byte();

@@ -10,7 +10,7 @@ use assasin_workloads::{Table, TableId, TpchGen};
 use std::collections::HashMap;
 
 use crate::bundles;
-use crate::runner::ssd_with;
+use crate::runner::{harness_config, ssd_with, Streams};
 
 #[derive(Debug, Clone)]
 struct Stored {
@@ -19,18 +19,19 @@ struct Stored {
     table: Table,
 }
 
+/// Generates every table and loads its CSV form as input stream `i` of
+/// `TableId::ALL`.
 fn load_tables(ssd: &mut Ssd, gen: &TpchGen) -> Result<HashMap<TableId, Stored>, SsdError> {
+    let tables: Vec<Table> = TableId::ALL.into_iter().map(|id| gen.table(id)).collect();
+    let loaded = Streams::load(ssd, tables.iter().map(Table::to_csv))?;
+    let placed = loaded.lpa_lists.into_iter().zip(loaded.lengths);
     let mut out = HashMap::new();
-    for (i, id) in TableId::ALL.into_iter().enumerate() {
-        let table = gen.table(id);
-        let csv = table.to_csv();
-        let base = (i as u64) * (1 << 20);
-        let lpas = ssd.load_object(base, &csv)?;
+    for ((id, table), (lpas, csv_len)) in TableId::ALL.into_iter().zip(tables).zip(placed) {
         out.insert(
             id,
             Stored {
                 lpas,
-                csv_len: csv.len() as u64,
+                csv_len,
                 table,
             },
         );
@@ -65,10 +66,7 @@ impl LoadedTables {
     }
 
     fn fork(&self, engine: EngineKind, adjusted: bool) -> Ssd {
-        let mut cfg = assasin_ssd::SsdConfig::engine_config(engine);
-        cfg.n_cores = 8;
-        cfg.adjusted_timing = adjusted;
-        self.image.fork(cfg)
+        self.image.fork(harness_config(engine, 8, adjusted, false))
     }
 }
 

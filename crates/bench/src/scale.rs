@@ -57,9 +57,9 @@ impl Scale {
         }
     }
 
-    /// The `ASSASIN_SCALE` multiplier, 1 when unset. For binaries: a
-    /// set-but-malformed value prints the error and exits with status 2
-    /// rather than running at a scale nobody asked for.
+    /// The `ASSASIN_SCALE` multiplier, 1 when unset. A set-but-malformed
+    /// value prints the error and exits with status 2 rather than running
+    /// at a scale nobody asked for.
     pub fn env_multiplier() -> f64 {
         let Some(value) = std::env::var_os("ASSASIN_SCALE") else {
             return 1.0;
@@ -68,12 +68,6 @@ impl Scale {
             eprintln!("invalid ASSASIN_SCALE {value:?}: {e}");
             std::process::exit(2);
         })
-    }
-
-    /// The default scale multiplied by `ASSASIN_SCALE` (see
-    /// [`Scale::env_multiplier`] for how a malformed value is handled).
-    pub fn from_env() -> Scale {
-        Scale::scaled(Scale::env_multiplier())
     }
 }
 

@@ -19,57 +19,6 @@
 //! entry, geomeans, utilization normalization — are computed *after*
 //! reassembly, on the ordered result vector.
 
-use assasin_core::EngineKind;
-
-/// One independent experiment configuration: a workload on one simulated
-/// architecture. Experiments build a vector of these (or of their own
-/// point types) and hand them to [`run_points`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Workload label (kernel or dataset name).
-    pub workload: String,
-    /// Engine architecture to simulate.
-    pub engine: EngineKind,
-    /// Section VI-F timing adjustment.
-    pub adjusted: bool,
-    /// Channel-local compute (Figure 7) instead of the crossbar.
-    pub channel_local: bool,
-    /// Engine core count.
-    pub n_cores: usize,
-}
-
-impl SweepPoint {
-    /// A point with the harness defaults (8 cores, nominal timing,
-    /// crossbar).
-    pub fn new(workload: impl Into<String>, engine: EngineKind) -> Self {
-        SweepPoint {
-            workload: workload.into(),
-            engine,
-            adjusted: false,
-            channel_local: false,
-            n_cores: 8,
-        }
-    }
-
-    /// Applies the Section VI-F timing adjustment.
-    pub fn adjusted(mut self, yes: bool) -> Self {
-        self.adjusted = yes;
-        self
-    }
-
-    /// Switches to the channel-local architecture.
-    pub fn channel_local(mut self, yes: bool) -> Self {
-        self.channel_local = yes;
-        self
-    }
-
-    /// Sets the core count.
-    pub fn cores(mut self, n: usize) -> Self {
-        self.n_cores = n;
-        self
-    }
-}
-
 /// Runs `run` over every point concurrently and returns the results in
 /// point order. The worker count honors `RAYON_NUM_THREADS`; with one
 /// thread the points run serially on the caller's thread, in order.
@@ -201,16 +150,5 @@ mod tests {
     #[should_panic(expected = "whole number of rows")]
     fn ragged_rows_rejected() {
         let _ = rows_of(vec![1, 2, 3], 2);
-    }
-
-    #[test]
-    fn point_builder_sets_fields() {
-        let p = SweepPoint::new("scan", EngineKind::AssasinSb)
-            .adjusted(true)
-            .channel_local(true)
-            .cores(4);
-        assert_eq!(p.workload, "scan");
-        assert!(p.adjusted && p.channel_local);
-        assert_eq!(p.n_cores, 4);
     }
 }
