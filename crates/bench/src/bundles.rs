@@ -32,11 +32,8 @@ pub fn raid4_bundle() -> KernelBundle {
 
 /// RAID6 P+Q (Figure 13); GF tables preloaded as function state.
 pub fn raid6_bundle() -> KernelBundle {
-    let image = raid::raid6_tables()
-        .into_iter()
-        .map(|(off, t)| (off, t.to_vec()))
-        .collect();
-    KernelBundle::new("raid6", 1, 0.5, raid::raid6_program).with_scratchpad_image(image)
+    KernelBundle::new("raid6", 1, 0.5, raid::raid6_program)
+        .with_scratchpad_image(raid::raid6_tables())
 }
 
 /// AES-128 encryption (Figure 13); T-tables + key schedule preloaded.

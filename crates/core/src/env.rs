@@ -7,6 +7,7 @@
 //! `assasin-ssd`; [`SyntheticEnv`] supplies in-memory data at a configurable
 //! rate for unit tests and kernel verification.
 
+use crate::bank_chunk;
 use assasin_mem::StreamBuffer;
 use assasin_sim::{SimDur, SimTime};
 use bytes::Bytes;
@@ -101,6 +102,28 @@ impl SyntheticEnv {
             .chunks(bank_bytes)
             .map(Bytes::copy_from_slice)
             .collect();
+    }
+
+    /// Queues equal-length `inputs` as ping-pong input banks the way the
+    /// firmware fills them: each bank holds one [`bank_chunk`] of every
+    /// stream in turn.
+    pub fn set_interleaved_banks(
+        &mut self,
+        inputs: &[impl AsRef<[u8]>],
+        bank_bytes: usize,
+        granularity: usize,
+    ) {
+        let n = inputs.len();
+        let len = inputs[0].as_ref().len();
+        let chunk = bank_chunk(bank_bytes, n, granularity);
+        let mut banks = Vec::with_capacity(len * n);
+        for pos in (0..len).step_by(chunk) {
+            let end = (pos + chunk).min(len);
+            for input in inputs {
+                banks.extend_from_slice(&input.as_ref()[pos..end]);
+            }
+        }
+        self.set_banks(&banks, (chunk * n).min(banks.len().max(1)));
     }
 
     /// Limits delivery to `bytes_per_sec` (None = instantaneous).

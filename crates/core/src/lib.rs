@@ -31,5 +31,5 @@ mod udp;
 pub use config::{CoreConfig, EngineKind};
 pub use cpu::{Core, CoreState, InstrMix, RunOutcome};
 pub use env::{NullEnv, StreamEnv, SyntheticEnv};
-pub use regions::{layout, DramWindow, PingPong};
+pub use regions::{bank_chunk, layout, DramWindow, PingPong};
 pub use udp::{KernelProfile, UdpLane};

@@ -103,6 +103,14 @@ impl DramWindow {
     }
 }
 
+/// Bytes the firmware copies from each of `streams` input streams into
+/// one ping-pong bank of `bank_bytes`: an equal share per stream, cut on
+/// object boundaries (Section V-D: "consistent splitting of each
+/// object/LPA stream") and never less than one `granularity`-byte object.
+pub fn bank_chunk(bank_bytes: usize, streams: usize, granularity: usize) -> usize {
+    (bank_bytes / streams / granularity).max(1) * granularity
+}
+
 /// AssasinSp ping-pong staging state for one direction pair: the core works
 /// on the current input bank while the firmware fills the next one from
 /// flash, and symmetric double-buffering on the output side.

@@ -19,7 +19,7 @@
 //! accelerates branchy parsing-style code (~1.3x on PSF, the paper's own
 //! number) and it stays DRAM-fed, so it cannot beat the memory wall.
 
-use crate::InstrMix;
+use crate::{CoreConfig, InstrMix};
 use assasin_sim::Clock;
 
 /// Dynamic profile of a kernel, extracted from a functional run of the
@@ -72,12 +72,14 @@ impl UdpLane {
     /// the PSF pipeline, Section VI-C).
     pub const FUSION: f64 = 0.85;
 
-    /// Creates a lane at the given clock (1 GHz in Table IV).
+    /// Creates a lane at the given clock (1 GHz in Table IV), with the
+    /// mul/div latencies of [`CoreConfig::udp`].
     pub fn new(clock: Clock) -> Self {
+        let cfg = CoreConfig::udp();
         UdpLane {
             clock,
-            mul_cycles: 3,
-            div_cycles: 35,
+            mul_cycles: cfg.mul_cycles,
+            div_cycles: cfg.div_cycles,
         }
     }
 

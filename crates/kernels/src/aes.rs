@@ -315,8 +315,7 @@ pub fn program(style: AccessStyle) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil;
-    use assasin_core::{Core, CoreConfig, StreamEnv as _, SyntheticEnv};
+    use crate::testutil::run_kernel;
 
     const FIPS_KEY: [u8; 16] = [
         0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e,
@@ -388,81 +387,18 @@ mod tests {
         assert_eq!(ks[43].to_le_bytes(), [0xb6, 0x63, 0x0c, 0xa6]);
     }
 
-    fn run_aes(style: AccessStyle, data: &[u8]) -> (Core, Vec<u8>) {
-        let cfg = match style {
-            AccessStyle::Stream => CoreConfig::assasin_sb(),
-            AccessStyle::PingPong => CoreConfig::assasin_sp(),
-            AccessStyle::Mem => CoreConfig::baseline(),
-        };
-        match style {
-            AccessStyle::Stream | AccessStyle::PingPong => {
-                let mut env = SyntheticEnv::new(8, testutil::PAGE);
-                let mut core = Core::new(0, cfg, program(style), None);
-                for (off, bytes) in scratchpad_image(&FIPS_KEY) {
-                    core.scratchpad_mut()
-                        .write_bytes(off as u64, &bytes)
-                        .unwrap();
-                }
-                if style == AccessStyle::Stream {
-                    env.set_input(0, data);
-                } else {
-                    env.set_banks(data, testutil::BANK);
-                }
-                core.run_to_halt(&mut env);
-                assert_eq!(
-                    core.state(),
-                    &assasin_core::CoreState::Halted,
-                    "{:?}",
-                    core.state()
-                );
-                let out = if style == AccessStyle::Stream {
-                    if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-                        env.drain_page(0, 0, tail, assasin_sim::SimTime::ZERO);
-                    }
-                    env.output(0).to_vec()
-                } else {
-                    env.bank_output().to_vec()
-                };
-                (core, out)
-            }
-            AccessStyle::Mem => {
-                use assasin_core::{DramWindow, NullEnv};
-                use assasin_isa::Reg;
-                use assasin_mem::Dram;
-                use assasin_sim::SimTime;
-                let len = data.len();
-                let out_offset = len.next_multiple_of(64);
-                let mut window = DramWindow::new(out_offset + len + 64, 4096);
-                window.stage(0, data, SimTime::ZERO);
-                let dram = Dram::lpddr5_8gbps().into_shared();
-                let mut core = Core::new(0, cfg, program(style), Some(dram));
-                for (off, bytes) in scratchpad_image(&FIPS_KEY) {
-                    core.scratchpad_mut()
-                        .write_bytes(off as u64, &bytes)
-                        .unwrap();
-                }
-                core.set_window(window);
-                core.set_reg(Reg::A0, len as u32);
-                core.set_reg(Reg::A1, 0);
-                core.set_reg(Reg::A2, out_offset as u32);
-                core.run_to_halt(&mut NullEnv);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                let out = core
-                    .window()
-                    .unwrap()
-                    .bytes(out_offset as u64, len)
-                    .to_vec();
-                (core, out)
-            }
-        }
-    }
-
     #[test]
     fn all_styles_match_golden() {
         let data: Vec<u8> = (0..512u32).map(|i| (i * 7 % 256) as u8).collect();
         let expect = golden(&FIPS_KEY, &data);
         for style in AccessStyle::ALL {
-            let (_, out) = run_aes(style, &data);
+            let (_, out) = run_kernel(
+                style,
+                program(style),
+                &[&data],
+                16,
+                &scratchpad_image(&FIPS_KEY),
+            );
             assert_eq!(out, expect, "style {style:?}");
         }
     }
@@ -470,7 +406,13 @@ mod tests {
     #[test]
     fn aes_is_compute_bound() {
         let data = vec![0u8; 1024];
-        let (core, _) = run_aes(AccessStyle::Stream, &data);
+        let (core, _) = run_kernel(
+            AccessStyle::Stream,
+            program(AccessStyle::Stream),
+            &[&data],
+            16,
+            &scratchpad_image(&FIPS_KEY),
+        );
         let cpb = core.cycles() as f64 / data.len() as f64;
         assert!(
             cpb > 20.0,

@@ -203,9 +203,9 @@ mod tests {
     fn kernel_matches_golden_stream_and_mem() {
         let data = sample(4096);
         let packed = compress(&data);
-        let (_, out) = run_stream(decompress_program(AccessStyle::Stream), &[&packed]);
+        let (_, out) = run_stream(decompress_program(AccessStyle::Stream), &[&packed], &[]);
         assert_eq!(out, data, "stream style");
-        let (_, out) = run_mem(decompress_program(AccessStyle::Mem), &[&packed]);
+        let (_, out) = run_mem(decompress_program(AccessStyle::Mem), &[&packed], &[]);
         assert_eq!(out, data, "mem style");
     }
 
@@ -215,7 +215,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
         let packed = compress(&data);
-        let (_, out) = run_stream(decompress_program(AccessStyle::Stream), &[&packed]);
+        let (_, out) = run_stream(decompress_program(AccessStyle::Stream), &[&packed], &[]);
         assert_eq!(out, data);
     }
 
@@ -233,7 +233,7 @@ mod tests {
         data.extend_from_slice(b"tail");
         let packed = compress(&data);
         assert_eq!(decompress_golden(&packed), data);
-        let (_, out) = run_stream(decompress_program(AccessStyle::Stream), &[&packed]);
+        let (_, out) = run_stream(decompress_program(AccessStyle::Stream), &[&packed], &[]);
         assert_eq!(out, data);
     }
 }

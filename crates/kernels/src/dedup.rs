@@ -161,7 +161,7 @@ mod tests {
         let data = blocks(16, 4);
         let expect = golden(&data);
         for style in AccessStyle::ALL {
-            let (_, out) = run_kernel(style, program(style), &[&data], BLOCK_BYTES as usize);
+            let (_, out) = run_kernel(style, program(style), &[&data], BLOCK_BYTES as usize, &[]);
             assert_eq!(out, expect, "style {style:?}");
         }
     }

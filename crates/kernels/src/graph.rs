@@ -106,7 +106,8 @@ mod tests {
         let data = sample_edges(500);
         let (out_exp, in_exp) = golden(&data);
         for style in AccessStyle::ALL {
-            let (core, emitted) = run_kernel(style, program(style), &[&data], EDGE_BYTES as usize);
+            let (core, emitted) =
+                run_kernel(style, program(style), &[&data], EDGE_BYTES as usize, &[]);
             assert!(emitted.is_empty(), "degree counting emits nothing");
             let (out_got, in_got) = degrees_from(&core);
             assert_eq!(out_got, out_exp, "style {style:?}");
@@ -134,6 +135,7 @@ mod tests {
             program(AccessStyle::Stream),
             &[&data],
             8,
+            &[],
         );
         let (out_got, in_got) = degrees_from(&core);
         assert_eq!(out_got, out_deg);

@@ -185,7 +185,7 @@ pub fn program(style: AccessStyle) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use assasin_core::Core;
+    use crate::testutil::run_kernel;
 
     fn vectors(n: usize) -> Vec<u8> {
         (0..n * IN_DIM)
@@ -194,79 +194,20 @@ mod tests {
             .collect()
     }
 
-    fn preload(core: &mut Core, model: &Model) {
-        for (off, bytes) in model.scratchpad_image() {
-            core.scratchpad_mut()
-                .write_bytes(off as u64, &bytes)
-                .unwrap();
-        }
-    }
-
     #[test]
     fn all_styles_match_golden() {
         let model = Model::demo(99);
         let data = vectors(64);
         let expect = model.golden(&data);
         for style in AccessStyle::ALL {
-            let (_, out) = run_with_preload(style, &model, &data);
+            let (_, out) = run_kernel(
+                style,
+                program(style),
+                &[&data],
+                TUPLE_BYTES as usize,
+                &model.scratchpad_image(),
+            );
             assert_eq!(out, expect, "style {style:?}");
-        }
-    }
-
-    // The testutil runners build the Core internally, so replicate their
-    // drive loops here with a model-preload step.
-    fn run_with_preload(style: AccessStyle, model: &Model, data: &[u8]) -> (Core, Vec<u8>) {
-        use assasin_core::{CoreConfig, DramWindow, NullEnv, SyntheticEnv};
-        use assasin_isa::Reg;
-        use assasin_mem::Dram;
-        use assasin_sim::SimTime;
-        match style {
-            AccessStyle::Stream => {
-                let mut env = SyntheticEnv::new(8, 512);
-                env.set_input(0, data);
-                let mut core = Core::new(0, CoreConfig::assasin_sb(), program(style), None);
-                preload(&mut core, model);
-                core.run_to_halt(&mut env);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-                    use assasin_core::StreamEnv as _;
-                    env.drain_page(0, 0, tail, SimTime::ZERO);
-                }
-                let out = env.output(0).to_vec();
-                (core, out)
-            }
-            AccessStyle::PingPong => {
-                let mut env = SyntheticEnv::new(8, 512);
-                env.set_banks(data, 1024);
-                let mut core = Core::new(0, CoreConfig::assasin_sp(), program(style), None);
-                preload(&mut core, model);
-                core.run_to_halt(&mut env);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                let out = env.bank_output().to_vec();
-                (core, out)
-            }
-            AccessStyle::Mem => {
-                let len = data.len();
-                let out_offset = len.next_multiple_of(64);
-                let mut window = DramWindow::new(out_offset + len + 4096, 4096);
-                window.stage(0, data, SimTime::ZERO);
-                let dram = Dram::lpddr5_8gbps().into_shared();
-                let mut core = Core::new(0, CoreConfig::baseline(), program(style), Some(dram));
-                preload(&mut core, model);
-                core.set_window(window);
-                core.set_reg(Reg::A0, len as u32);
-                core.set_reg(Reg::A1, 0);
-                core.set_reg(Reg::A2, out_offset as u32);
-                core.run_to_halt(&mut NullEnv);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                let cursor = core.reg(Reg::S5) as u64 - (0x1000_0000 + out_offset as u64);
-                let out = core
-                    .window()
-                    .unwrap()
-                    .bytes(out_offset as u64, cursor as usize)
-                    .to_vec();
-                (core, out)
-            }
         }
     }
 
@@ -289,7 +230,13 @@ mod tests {
     fn inference_is_compute_intense() {
         let model = Model::demo(3);
         let data = vectors(32);
-        let (core, _) = run_with_preload(AccessStyle::Stream, &model, &data);
+        let (core, _) = run_kernel(
+            AccessStyle::Stream,
+            program(AccessStyle::Stream),
+            &[&data],
+            TUPLE_BYTES as usize,
+            &model.scratchpad_image(),
+        );
         let cpb = core.cycles() as f64 / data.len() as f64;
         assert!(cpb > 10.0, "NN inference ~{cpb:.1} c/B");
         assert!(core.mix().muldiv > 0);

@@ -160,8 +160,7 @@ pub fn program(style: AccessStyle) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use assasin_core::{Core, CoreConfig, CoreState, StreamEnv as _, SyntheticEnv};
-    use assasin_sim::SimTime;
+    use crate::testutil::run_kernel;
 
     fn samples(n: usize) -> Vec<u8> {
         // A learnable target: y = 3*x0 - 2*x1 + 2 with x scaled so the
@@ -180,78 +179,19 @@ mod tests {
             .collect()
     }
 
-    fn run_train(style: AccessStyle, data: &[u8]) -> (Core, Vec<u8>) {
-        let model = LinearModel::zeroed();
-        match style {
-            AccessStyle::Stream => {
-                let mut env = SyntheticEnv::new(8, 512);
-                env.set_input(0, data);
-                let mut core = Core::new(0, CoreConfig::assasin_sb(), program(style), None);
-                for (off, bytes) in model.scratchpad_image() {
-                    core.scratchpad_mut()
-                        .write_bytes(off as u64, &bytes)
-                        .unwrap();
-                }
-                core.run_to_halt(&mut env);
-                assert_eq!(core.state(), &CoreState::Halted);
-                if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-                    env.drain_page(0, 0, tail, SimTime::ZERO);
-                }
-                let out = env.output(0).to_vec();
-                (core, out)
-            }
-            AccessStyle::PingPong => {
-                let mut env = SyntheticEnv::new(8, 512);
-                env.set_banks(data, (1024 / TUPLE_BYTES as usize) * TUPLE_BYTES as usize);
-                let mut core = Core::new(0, CoreConfig::assasin_sp(), program(style), None);
-                for (off, bytes) in model.scratchpad_image() {
-                    core.scratchpad_mut()
-                        .write_bytes(off as u64, &bytes)
-                        .unwrap();
-                }
-                core.run_to_halt(&mut env);
-                assert_eq!(core.state(), &CoreState::Halted);
-                (core, env.bank_output().to_vec())
-            }
-            AccessStyle::Mem => {
-                use assasin_core::{DramWindow, NullEnv};
-                use assasin_isa::Reg;
-                use assasin_mem::Dram;
-                let len = data.len();
-                let out_offset = len.next_multiple_of(64);
-                let mut window = DramWindow::new(out_offset + len + 4096, 4096);
-                window.stage(0, data, SimTime::ZERO);
-                let dram = Dram::lpddr5_8gbps().into_shared();
-                let mut core = Core::new(0, CoreConfig::baseline(), program(style), Some(dram));
-                for (off, bytes) in model.scratchpad_image() {
-                    core.scratchpad_mut()
-                        .write_bytes(off as u64, &bytes)
-                        .unwrap();
-                }
-                core.set_window(window);
-                core.set_reg(Reg::A0, len as u32);
-                core.set_reg(Reg::A1, 0);
-                core.set_reg(Reg::A2, out_offset as u32);
-                core.run_to_halt(&mut NullEnv);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                let cursor = core.reg(Reg::S5) as u64 - (0x1000_0000 + out_offset as u64);
-                let out = core
-                    .window()
-                    .unwrap()
-                    .bytes(out_offset as u64, cursor as usize)
-                    .to_vec();
-                (core, out)
-            }
-        }
-    }
-
     #[test]
     fn all_styles_match_golden_including_final_weights() {
         let data = samples(96);
         let mut model = LinearModel::zeroed();
         let expect_errs = model.golden(&data);
         for style in AccessStyle::ALL {
-            let (core, errs) = run_train(style, &data);
+            let (core, errs) = run_kernel(
+                style,
+                program(style),
+                &[&data],
+                TUPLE_BYTES as usize,
+                &LinearModel::zeroed().scratchpad_image(),
+            );
             assert_eq!(errs, expect_errs, "style {style:?}");
             // Final weights in the scratchpad match the golden model.
             for (i, &w) in model.w.iter().enumerate() {

@@ -328,6 +328,7 @@ mod tests {
                 filter_program(style, p),
                 &[&data],
                 (p.tuple_words * 4) as usize,
+                &[],
             );
             assert_eq!(out, expect, "style {style:?}");
         }
@@ -353,6 +354,7 @@ mod tests {
             filter_program(AccessStyle::Stream, none),
             &[&data],
             16,
+            &[],
         );
         assert!(out.is_empty());
         let (_, out) = run_kernel(
@@ -360,6 +362,7 @@ mod tests {
             filter_program(AccessStyle::Stream, all),
             &[&data],
             16,
+            &[],
         );
         assert_eq!(out, data);
     }
@@ -378,6 +381,7 @@ mod tests {
                 select_program(style, &p),
                 &[&data],
                 (p.tuple_words * 4) as usize,
+                &[],
             );
             assert_eq!(out, expect, "style {style:?}");
         }
@@ -388,7 +392,7 @@ mod tests {
         let text = csv(128, 6);
         let expect = parse_golden(&text);
         for style in AccessStyle::ALL {
-            let (_, out) = run_kernel(style, parse_program(style), &[&text], 1);
+            let (_, out) = run_kernel(style, parse_program(style), &[&text], 1, &[]);
             assert_eq!(out, expect, "style {style:?}");
         }
     }
@@ -405,6 +409,7 @@ mod tests {
             parse_program(AccessStyle::Stream),
             &[text],
             1,
+            &[],
         );
         assert_eq!(out, expect);
     }
@@ -422,7 +427,7 @@ mod tests {
         let expect = psf_golden(&text, &p);
         assert!(!expect.is_empty());
         for style in AccessStyle::ALL {
-            let (_, out) = run_kernel(style, psf_program(style, &p), &[&text], 1);
+            let (_, out) = run_kernel(style, psf_program(style, &p), &[&text], 1, &[]);
             assert_eq!(out, expect, "style {style:?}");
         }
     }
@@ -444,6 +449,7 @@ mod tests {
             psf_program(AccessStyle::Stream, &p),
             &[&text],
             1,
+            &[],
         );
         let mix = core.mix();
         let branchy = (mix.branches + mix.jumps) as f64 / mix.total as f64;

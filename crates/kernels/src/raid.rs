@@ -22,9 +22,14 @@ pub fn table_offset(i: u32) -> u32 {
 
 /// The scratchpad preload for RAID6: per-stream multiply-by-`g^i` tables.
 /// Returns `(offset, table)` pairs.
-pub fn raid6_tables() -> Vec<(u32, [u8; 256])> {
+pub fn raid6_tables() -> Vec<(u32, Vec<u8>)> {
     (0..DATA_STREAMS)
-        .map(|i| (table_offset(i), gf256::mul_table(gf256::gen_pow(i))))
+        .map(|i| {
+            (
+                table_offset(i),
+                gf256::mul_table(gf256::gen_pow(i)).to_vec(),
+            )
+        })
         .collect()
 }
 
@@ -109,7 +114,6 @@ pub fn raid6_golden(streams: &[&[u8]]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::testutil::run_kernel;
-    use assasin_core::{Core, CoreConfig, StreamEnv as _};
 
     fn streams(len: usize) -> Vec<Vec<u8>> {
         (0..DATA_STREAMS as usize)
@@ -121,21 +125,13 @@ mod tests {
             .collect()
     }
 
-    fn preload_raid6(core: &mut Core) {
-        for (off, table) in raid6_tables() {
-            core.scratchpad_mut()
-                .write_bytes(off as u64, &table)
-                .expect("tables fit");
-        }
-    }
-
     #[test]
     fn raid4_all_styles_match_golden() {
         let data = streams(1024);
         let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
         let expect = raid4_golden(&refs);
         for style in AccessStyle::ALL {
-            let (_, out) = run_kernel(style, raid4_program(style), &refs, 4);
+            let (_, out) = run_kernel(style, raid4_program(style), &refs, 4, &[]);
             assert_eq!(out, expect, "style {style:?}");
         }
     }
@@ -159,94 +155,9 @@ mod tests {
         let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
         let expect = raid6_golden(&refs);
         for style in AccessStyle::ALL {
-            // raid6 needs the GF tables preloaded, so drive manually.
-            let (core, out) = run_raid6(style, &refs);
+            let (core, out) = run_kernel(style, raid6_program(style), &refs, 4, &raid6_tables());
             assert_eq!(out, expect, "style {style:?}");
             assert!(core.cycles() > 0);
-        }
-    }
-
-    fn run_raid6(style: AccessStyle, refs: &[&[u8]]) -> (Core, Vec<u8>) {
-        use crate::testutil;
-        // Mirror run_kernel but preload the scratchpad first.
-        match style {
-            AccessStyle::Stream => {
-                let mut env = assasin_core::SyntheticEnv::new(8, testutil::PAGE);
-                for (sid, data) in refs.iter().enumerate() {
-                    env.set_input(sid as u32, data);
-                }
-                let mut core = Core::new(0, CoreConfig::assasin_sb(), raid6_program(style), None);
-                preload_raid6(&mut core);
-                core.run_to_halt(&mut env);
-                if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-                    env.drain_page(0, 0, tail, assasin_sim::SimTime::ZERO);
-                }
-                let out = env.output(0).to_vec();
-                (core, out)
-            }
-            _ => {
-                // For PingPong/Mem reuse the generic runner by embedding the
-                // preload via a fresh program run — the runner constructs the
-                // core internally, so replicate its logic here instead.
-                run_with_preload(style, refs)
-            }
-        }
-    }
-
-    fn run_with_preload(style: AccessStyle, refs: &[&[u8]]) -> (Core, Vec<u8>) {
-        use crate::testutil::{BANK, PAGE};
-        use assasin_core::{DramWindow, NullEnv, SyntheticEnv};
-        use assasin_isa::Reg;
-        use assasin_mem::Dram;
-        use assasin_sim::SimTime;
-        let n = refs.len();
-        let len = refs[0].len();
-        match style {
-            AccessStyle::PingPong => {
-                let chunk = BANK / n;
-                let mut banks = Vec::new();
-                let mut pos = 0;
-                while pos < len {
-                    let take = chunk.min(len - pos);
-                    for input in refs {
-                        banks.extend_from_slice(&input[pos..pos + take]);
-                    }
-                    pos += take;
-                }
-                let mut env = SyntheticEnv::new(8, PAGE);
-                env.set_banks(&banks, BANK.min(banks.len().max(1)));
-                let mut core = Core::new(0, CoreConfig::assasin_sp(), raid6_program(style), None);
-                preload_raid6(&mut core);
-                core.run_to_halt(&mut env);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                let out = env.bank_output().to_vec();
-                (core, out)
-            }
-            _ => {
-                let stride = len.next_multiple_of(64);
-                let out_offset = (n * stride).next_multiple_of(64);
-                let mut window = DramWindow::new(out_offset + 3 * len + 64, 4096);
-                for (i, input) in refs.iter().enumerate() {
-                    window.stage((i * stride) as u64, input, SimTime::ZERO);
-                }
-                let dram = Dram::lpddr5_8gbps().into_shared();
-                let mut core =
-                    Core::new(0, CoreConfig::baseline(), raid6_program(style), Some(dram));
-                preload_raid6(&mut core);
-                core.set_window(window);
-                core.set_reg(Reg::A0, len as u32);
-                core.set_reg(Reg::A1, stride as u32);
-                core.set_reg(Reg::A2, out_offset as u32);
-                core.run_to_halt(&mut NullEnv);
-                assert_eq!(core.state(), &assasin_core::CoreState::Halted);
-                let cursor = core.reg(Reg::S5) as u64 - (0x1000_0000 + out_offset as u64);
-                let out = core
-                    .window()
-                    .unwrap()
-                    .bytes(out_offset as u64, cursor as usize)
-                    .to_vec();
-                (core, out)
-            }
         }
     }
 
@@ -259,8 +170,15 @@ mod tests {
             raid4_program(AccessStyle::Stream),
             &refs,
             4,
+            &[],
         );
-        let (c6, _) = run_raid6(AccessStyle::Stream, &refs);
+        let (c6, _) = run_kernel(
+            AccessStyle::Stream,
+            raid6_program(AccessStyle::Stream),
+            &refs,
+            4,
+            &raid6_tables(),
+        );
         assert!(
             c6.cycles() > 2 * c4.cycles(),
             "raid6 {} vs raid4 {}",

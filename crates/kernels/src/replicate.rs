@@ -59,7 +59,7 @@ mod tests {
         let expect = golden(&data);
         assert_eq!(expect.len(), data.len() * COPIES);
         for style in AccessStyle::ALL {
-            let (_, out) = run_kernel(style, program(style), &[&data], TUPLE_BYTES as usize);
+            let (_, out) = run_kernel(style, program(style), &[&data], TUPLE_BYTES as usize, &[]);
             assert_eq!(out, expect, "style {style:?}");
         }
     }

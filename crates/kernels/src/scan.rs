@@ -90,7 +90,8 @@ mod tests {
         let input = data(4096);
         let expect = golden(&input);
         for style in AccessStyle::ALL {
-            let (core, out) = run_kernel(style, program(style), &[&input], TUPLE_BYTES as usize);
+            let (core, out) =
+                run_kernel(style, program(style), &[&input], TUPLE_BYTES as usize, &[]);
             assert_eq!(core.reg(Reg::T2), expect, "style {style:?}");
             assert!(out.is_empty(), "scan produces no output");
         }
@@ -104,6 +105,7 @@ mod tests {
             program(AccessStyle::Stream),
             &[&input],
             TUPLE_BYTES as usize,
+            &[],
         );
         let cpb = core.cycles() as f64 / input.len() as f64;
         assert!(
@@ -117,8 +119,13 @@ mod tests {
         let input = data(8192);
         let expect = heavy_golden(&input);
         for style in AccessStyle::ALL {
-            let (core, _) =
-                run_kernel(style, heavy_program(style), &[&input], TUPLE_BYTES as usize);
+            let (core, _) = run_kernel(
+                style,
+                heavy_program(style),
+                &[&input],
+                TUPLE_BYTES as usize,
+                &[],
+            );
             assert_eq!(core.reg(Reg::T2), expect, "style {style:?}");
         }
         let (light, _) = run_kernel(
@@ -126,12 +133,14 @@ mod tests {
             program(AccessStyle::Stream),
             &[&input],
             8,
+            &[],
         );
         let (heavy, _) = run_kernel(
             AccessStyle::Stream,
             heavy_program(AccessStyle::Stream),
             &[&input],
             8,
+            &[],
         );
         assert!(
             heavy.cycles() > 15 * input.len() as u64 / 8,
@@ -148,12 +157,14 @@ mod tests {
             program(AccessStyle::Stream),
             &[&input],
             TUPLE_BYTES as usize,
+            &[],
         );
         let (pp, _) = run_kernel(
             AccessStyle::PingPong,
             program(AccessStyle::PingPong),
             &[&input],
             TUPLE_BYTES as usize,
+            &[],
         );
         assert!(
             sb.cycles() < pp.cycles(),

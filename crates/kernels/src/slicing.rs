@@ -9,7 +9,7 @@
 //! no fewer, which a reference run that retires one instruction per call
 //! pins instruction by instruction.
 
-use crate::testutil::{pingpong_env, stream_env, stream_output};
+use crate::testutil::{pingpong_env, preloaded, stream_env, stream_output};
 use crate::{aes, query, raid, scan, stat, AccessStyle};
 use assasin_core::{Core, CoreConfig, CoreState, InstrMix, RunOutcome, SyntheticEnv};
 use assasin_isa::{Program, Reg};
@@ -96,14 +96,11 @@ impl Launch {
             AccessStyle::Mem => unreachable!("slicing covers the two storage-side styles"),
         };
         env.set_rate(self.rate);
-        let mut core = Core::new(0, cfg, self.kernel.program(self.style), None);
-        if let Kernel::Aes = self.kernel {
-            for (off, image) in aes::scratchpad_image(&AES_KEY) {
-                core.scratchpad_mut()
-                    .write_bytes(off as u64, &image)
-                    .expect("AES tables fit");
-            }
-        }
+        let image = match self.kernel {
+            Kernel::Aes => aes::scratchpad_image(&AES_KEY),
+            _ => Vec::new(),
+        };
+        let core = preloaded(cfg, self.kernel.program(self.style), None, &image);
         (core, env)
     }
 

@@ -52,7 +52,8 @@ mod tests {
         let input = column(2048);
         let expect = golden(&input);
         for style in AccessStyle::ALL {
-            let (core, out) = run_kernel(style, program(style), &[&input], TUPLE_BYTES as usize);
+            let (core, out) =
+                run_kernel(style, program(style), &[&input], TUPLE_BYTES as usize, &[]);
             assert_eq!(core.reg(Reg::T4), expect, "style {style:?}");
             assert!(out.is_empty());
         }
@@ -69,6 +70,7 @@ mod tests {
             program(AccessStyle::Stream),
             &[&input],
             TUPLE_BYTES as usize,
+            &[],
         );
         let cpb = core.cycles() as f64 / input.len() as f64;
         assert!(cpb < 1.0, "stat must beat 1 cycle/byte, got {cpb:.3}");

@@ -5,7 +5,7 @@ use crate::{AccessStyle, LaunchInfo};
 use assasin_core::StreamEnv as _;
 use assasin_core::{Core, CoreConfig, CoreState, DramWindow, SyntheticEnv};
 use assasin_isa::{Program, Reg};
-use assasin_mem::Dram;
+use assasin_mem::{Dram, SharedDram};
 use assasin_sim::SimTime;
 
 /// Default staging page size for tests.
@@ -14,7 +14,9 @@ pub const PAGE: usize = 512;
 pub const BANK: usize = 1024;
 
 /// Runs `program` in the given style over `inputs` (one slice per input
-/// stream; all the same length) and returns `(core, output_bytes)`.
+/// stream; all the same length) with `image` preloaded into the
+/// scratchpad (`(offset, bytes)` pairs, as the kernels' `scratchpad_image`
+/// functions return them), and returns `(core, output_bytes)`.
 ///
 /// # Panics
 ///
@@ -24,18 +26,19 @@ pub fn run_kernel(
     program: Program,
     inputs: &[&[u8]],
     granularity: usize,
+    image: &[(u32, Vec<u8>)],
 ) -> (Core, Vec<u8>) {
     match style {
-        AccessStyle::Stream => run_stream(program, inputs),
-        AccessStyle::PingPong => run_pingpong(program, inputs, granularity),
-        AccessStyle::Mem => run_mem(program, inputs),
+        AccessStyle::Stream => run_stream(program, inputs, image),
+        AccessStyle::PingPong => run_pingpong(program, inputs, granularity, image),
+        AccessStyle::Mem => run_mem(program, inputs, image),
     }
 }
 
 /// Stream-style run (AssasinSb configuration).
-pub fn run_stream(program: Program, inputs: &[&[u8]]) -> (Core, Vec<u8>) {
+pub fn run_stream(program: Program, inputs: &[&[u8]], image: &[(u32, Vec<u8>)]) -> (Core, Vec<u8>) {
     let mut env = stream_env(inputs);
-    let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
+    let mut core = preloaded(CoreConfig::assasin_sb(), program, None, image);
     core.run_to_halt(&mut env);
     assert_halted(&core);
     let out = stream_output(&mut core, &mut env);
@@ -64,9 +67,14 @@ pub fn stream_output(core: &mut Core, env: &mut SyntheticEnv) -> Vec<u8> {
 /// Ping-pong run (AssasinSp configuration). Multi-stream inputs are
 /// interleaved into banks as `n` equal chunks, the firmware convention the
 /// kernels expect.
-pub fn run_pingpong(program: Program, inputs: &[&[u8]], granularity: usize) -> (Core, Vec<u8>) {
+pub fn run_pingpong(
+    program: Program,
+    inputs: &[&[u8]],
+    granularity: usize,
+    image: &[(u32, Vec<u8>)],
+) -> (Core, Vec<u8>) {
     let mut env = pingpong_env(inputs, granularity);
-    let mut core = Core::new(0, CoreConfig::assasin_sp(), program, None);
+    let mut core = preloaded(CoreConfig::assasin_sp(), program, None, image);
     core.run_to_halt(&mut env);
     assert_halted(&core);
     let out = env.bank_output().to_vec();
@@ -75,32 +83,18 @@ pub fn run_pingpong(program: Program, inputs: &[&[u8]], granularity: usize) -> (
 
 /// The environment of a ping-pong run (see [`run_pingpong`]).
 pub fn pingpong_env(inputs: &[&[u8]], granularity: usize) -> SyntheticEnv {
-    let n = inputs.len();
     let len = inputs[0].len();
     assert!(
         inputs.iter().all(|i| i.len() == len),
         "equal-length streams"
     );
-    // The firmware splits object streams on object boundaries
-    // (Section V-D: "consistent splitting of each object/LPA stream").
-    let chunk = (BANK / n / granularity).max(1) * granularity;
-    let mut banks = Vec::new();
-    let mut pos = 0;
-    while pos < len {
-        let take = chunk.min(len - pos);
-        for input in inputs {
-            banks.extend_from_slice(&input[pos..pos + take]);
-        }
-        pos += take;
-    }
     let mut env = SyntheticEnv::new(8, PAGE);
-    let bank_size = (chunk * n).min(banks.len().max(1));
-    env.set_banks(&banks, bank_size);
+    env.set_interleaved_banks(inputs, BANK, granularity);
     env
 }
 
 /// DRAM-staged run (Baseline configuration).
-pub fn run_mem(program: Program, inputs: &[&[u8]]) -> (Core, Vec<u8>) {
+pub fn run_mem(program: Program, inputs: &[&[u8]], image: &[(u32, Vec<u8>)]) -> (Core, Vec<u8>) {
     let n = inputs.len();
     let len = inputs[0].len();
     assert!(
@@ -121,7 +115,7 @@ pub fn run_mem(program: Program, inputs: &[&[u8]]) -> (Core, Vec<u8>) {
         out_offset: out_offset as u32,
     };
     let dram = Dram::lpddr5_8gbps().into_shared();
-    let mut core = Core::new(0, CoreConfig::baseline(), program, Some(dram));
+    let mut core = preloaded(CoreConfig::baseline(), program, Some(dram), image);
     core.set_window(window);
     let (r_len, r_stride, r_out) = LaunchInfo::regs();
     core.set_reg(r_len, launch.in_len);
@@ -140,6 +134,22 @@ pub fn run_mem(program: Program, inputs: &[&[u8]]) -> (Core, Vec<u8>) {
         .bytes(out_offset as u64, out_len)
         .to_vec();
     (core, out)
+}
+
+/// A core with `image` written into its scratchpad.
+pub fn preloaded(
+    cfg: CoreConfig,
+    program: Program,
+    dram: Option<SharedDram>,
+    image: &[(u32, Vec<u8>)],
+) -> Core {
+    let mut core = Core::new(0, cfg, program, dram);
+    for (off, bytes) in image {
+        core.scratchpad_mut()
+            .write_bytes(*off as u64, bytes)
+            .expect("scratchpad image fits");
+    }
+    core
 }
 
 fn assert_halted(core: &Core) {

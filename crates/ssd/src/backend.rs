@@ -3,7 +3,7 @@
 //! (Figure 10's control loop, driven demand-side by the cores).
 
 use crate::SsdError;
-use assasin_core::StreamEnv;
+use assasin_core::{bank_chunk, StreamEnv};
 use assasin_flash::{FlashArray, FlashError, PhysPageAddr};
 use assasin_ftl::{Ftl, FtlError, Lpa};
 use assasin_mem::{SharedDram, StreamBuffer};
@@ -396,10 +396,7 @@ impl StreamEnv for Backend<'_> {
 
     fn next_input_bank(&mut self, core: usize, now: SimTime) -> Option<(Bytes, SimTime)> {
         let n_in = self.scheduled[core].len().max(1);
-        let chunk_target = {
-            let per = self.bank_bytes as usize / n_in;
-            (per / self.granularity as usize).max(1) * self.granularity as usize
-        };
+        let chunk_target = bank_chunk(self.bank_bytes as usize, n_in, self.granularity as usize);
         if self.scheduled[core].iter().all(|q| q.is_empty()) {
             return None;
         }

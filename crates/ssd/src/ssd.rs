@@ -639,20 +639,7 @@ impl Ssd {
         // scratchpad the same way).
         let core_cfg = assasin_core::CoreConfig::udp();
         let bank_bytes = core_cfg.scratchpad_bytes as usize / 2;
-        let n = streams.len();
-        let len = streams[0].len();
-        let gran = req.kernel.granularity() as usize;
-        let chunk = ((bank_bytes / n / gran).max(1)) * gran;
-        let mut banks = Vec::new();
-        let mut pos = 0usize;
-        while pos < len {
-            let take = chunk.min(len - pos);
-            for data in &streams {
-                banks.extend_from_slice(&data[pos..pos + take]);
-            }
-            pos += take;
-        }
-        env.set_banks(&banks, (chunk * n).min(banks.len().max(1)));
+        env.set_interleaved_banks(&streams, bank_bytes, req.kernel.granularity() as usize);
         let ref_cfg = assasin_core::CoreConfig {
             staging_bytes: core_cfg.scratchpad_bytes,
             ..assasin_core::CoreConfig::assasin_sp()

@@ -29,12 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Offload RAID6: the kernel streams all four blocks out of flash and
     // emits interleaved (P, Q) byte pairs; the GF(256) multiply tables
     // live in each core's scratchpad (Table II's function state).
-    let image = raid::raid6_tables()
-        .into_iter()
-        .map(|(off, table)| (off, table.to_vec()))
-        .collect();
-    let bundle =
-        KernelBundle::new("raid6", 1, 0.5, raid::raid6_program).with_scratchpad_image(image);
+    let bundle = KernelBundle::new("raid6", 1, 0.5, raid::raid6_program)
+        .with_scratchpad_image(raid::raid6_tables());
     let request =
         ScompRequest::new(bundle, lpa_lists).with_stream_bytes(vec![STREAM_BYTES as u64; 4]);
     let result = ssd.scomp(&request)?;
