@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use rand::Rng;
 
-/// Length specifications accepted by [`vec`].
+/// Length specifications accepted by [`vec()`].
 pub trait SizeRange {
     /// Inclusive (min, max) element counts.
     fn bounds(&self) -> (usize, usize);
