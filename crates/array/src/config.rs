@@ -2,7 +2,7 @@
 //! engine, and the shared host-link budget.
 
 use assasin_sim::SimDur;
-use assasin_ssd::SsdConfig;
+use assasin_ssd::{SsdConfig, PCIE_BW, PCIE_LATENCY};
 
 use crate::error::ArrayError;
 use crate::placement::ArrayPlacement;
@@ -44,7 +44,8 @@ pub struct ArrayConfig {
     /// media identity a fork must preserve).
     pub fault_seeds: Vec<u64>,
     /// Shared root-complex bandwidth in bytes/second. Provisioned below
-    /// `devices * device.pcie_bw` in any interesting topology.
+    /// `devices` times one device's [`PCIE_BW`] in any interesting
+    /// topology.
     pub root_bw: f64,
     /// Latency added to every root crossing.
     pub root_latency: SimDur,
@@ -63,8 +64,8 @@ impl ArrayConfig {
             chunk_bytes: 16 * device.geometry.page_bytes as u64,
             device,
             fault_seeds: Vec::new(),
-            root_bw: device.pcie_bw * 2.0,
-            root_latency: device.pcie_latency,
+            root_bw: PCIE_BW * 2.0,
+            root_latency: PCIE_LATENCY,
             exec: ArrayExec::Serial,
         }
     }

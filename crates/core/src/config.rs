@@ -1,5 +1,6 @@
 //! Table IV configurations.
 
+use assasin_isa::AccessStyle;
 use assasin_mem::{HierarchyConfig, StreamBufferConfig};
 use assasin_sim::Clock;
 
@@ -17,7 +18,9 @@ pub enum EngineKind {
     /// ASSASIN with the streambuffer and the stream ISA extension.
     AssasinSb,
     /// AssasinSb plus an L1 data cache backed by DRAM for oversized
-    /// function state.
+    /// function state. No evaluated kernel spills state past the
+    /// scratchpad, so the model runs it on the streambuffer alone; its L1
+    /// appears only in Tables IV and V.
     AssasinSbCache,
     /// The UDP accelerator lane (application-specific comparator),
     /// modeled analytically by [`UdpLane`](crate::UdpLane).
@@ -56,9 +59,15 @@ impl EngineKind {
         )
     }
 
-    /// True for variants that use the stream ISA extension.
-    pub fn has_stream_isa(self) -> bool {
-        matches!(self, EngineKind::AssasinSb | EngineKind::AssasinSbCache)
+    /// How this engine's kernels reach storage data, which also picks the
+    /// core's data path. UDP lanes walk firmware-filled scratchpads with
+    /// explicit pointers, as AssasinSp cores walk their staging banks.
+    pub fn style(self) -> AccessStyle {
+        match self {
+            EngineKind::Baseline | EngineKind::Prefetch => AccessStyle::Mem,
+            EngineKind::AssasinSp | EngineKind::Udp => AccessStyle::PingPong,
+            EngineKind::AssasinSb | EngineKind::AssasinSbCache => AccessStyle::Stream,
+        }
     }
 }
 
@@ -77,7 +86,9 @@ pub struct CoreConfig {
     pub scratchpad_cycles: u32,
     /// Streambuffer shape (Sb variants).
     pub streambuffer: StreamBufferConfig,
-    /// Cache hierarchy (Baseline, Prefetch, Sb$).
+    /// Cache hierarchy: the data path of Baseline and Prefetch cores.
+    /// Sb$ lists its L1D here for Tables IV and V, but its cores run on
+    /// the streambuffer and never reach it.
     pub hierarchy: Option<HierarchyConfig>,
     /// Ping-pong staging bank size in bytes (Sp variant): 64 KiB input +
     /// 64 KiB output.
@@ -218,8 +229,9 @@ mod tests {
     fn kind_predicates() {
         assert!(EngineKind::AssasinSb.bypasses_dram());
         assert!(!EngineKind::Baseline.bypasses_dram());
-        assert!(EngineKind::AssasinSbCache.has_stream_isa());
-        assert!(!EngineKind::AssasinSp.has_stream_isa());
+        assert_eq!(EngineKind::AssasinSbCache.style(), AccessStyle::Stream);
+        assert_eq!(EngineKind::AssasinSp.style(), AccessStyle::PingPong);
+        assert_eq!(EngineKind::Prefetch.style(), AccessStyle::Mem);
         assert_eq!(EngineKind::ALL.len(), 6);
         assert_eq!(EngineKind::AssasinSbCache.label(), "AssasinSb$");
     }

@@ -1,10 +1,10 @@
 //! The cycle-level in-order core interpreter.
 
-use crate::regions::{layout, DramWindow, PingPong};
+use crate::regions::{DramWindow, PingPong};
 use crate::{CoreConfig, EngineKind, StreamEnv};
-use assasin_isa::{csr, AluOp, BranchCond, Instr, Program};
+use assasin_isa::{csr, layout, AccessStyle, AluOp, BranchCond, Instr, LaunchInfo, Program};
 use assasin_mem::{
-    AccessKind, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, SharedDram, StreamBuffer,
+    AccessKind, MemError, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, SharedDram, StreamBuffer,
 };
 use assasin_sim::stats::CycleBreakdown;
 use assasin_sim::SimTime;
@@ -265,6 +265,52 @@ fn predecode(program: &Program, cfg: &CoreConfig) -> Box<[Slot]> {
         .collect()
 }
 
+/// How a core reaches storage data (Table IV): the one structure that
+/// differs between the interpreted engines. Chosen by [`Core::new`] from
+/// [`EngineKind::style`]; a program touching a structure its engine lacks
+/// wedges the core.
+// One per core, built once and never moved per instruction: boxing the
+// hierarchy would only add a pointer chase to every DRAM access.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum DataPath {
+    /// Baseline, Prefetch: a DRAM window the firmware stages pages into,
+    /// read through the cache hierarchy.
+    Mem {
+        /// The L1/L2 (and prefetcher) in front of DRAM.
+        hierarchy: MemHierarchy,
+        /// The staged input and the output area (empty until
+        /// [`Core::launch_mem`]).
+        window: DramWindow,
+    },
+    /// AssasinSp: ping-pong staging banks.
+    PingPong(PingPong),
+    /// AssasinSb, AssasinSb$: the streambuffer behind the stream ISA.
+    Stream(StreamBuffer),
+}
+
+/// The wedge messages for a program touching a structure its engine
+/// lacks, one per structure.
+const NO_DRAM: &str = "this engine has no DRAM window";
+const NO_STAGING: &str = "this engine has no ping-pong staging";
+const NO_SBUF: &str = "this engine has no streambuffer";
+
+impl DataPath {
+    fn staging(&mut self) -> Result<&mut PingPong, &'static str> {
+        match self {
+            DataPath::PingPong(staging) => Ok(staging),
+            _ => Err(NO_STAGING),
+        }
+    }
+
+    fn stream(&mut self) -> Result<&mut StreamBuffer, &'static str> {
+        match self {
+            DataPath::Stream(sbuf) => Ok(sbuf),
+            _ => Err(NO_SBUF),
+        }
+    }
+}
+
 /// One in-order scalar core with the Table IV memory structures attached.
 #[derive(Debug)]
 pub struct Core {
@@ -277,36 +323,39 @@ pub struct Core {
     cycle: u64,
     state: CoreState,
     scratchpad: Scratchpad,
-    sbuf: StreamBuffer,
-    hierarchy: Option<MemHierarchy>,
-    window: Option<DramWindow>,
-    staging: Option<PingPong>,
+    path: DataPath,
     breakdown: CycleBreakdown,
     mix: InstrMix,
 }
 
 impl Core {
-    /// Builds a core. `dram` is required for configurations with a cache
-    /// hierarchy (Baseline, Prefetch, AssasinSb$).
+    /// Builds a core. `dram` backs the cache hierarchy of the Mem data
+    /// path (Baseline, Prefetch) and is ignored by the other engines.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration needs a DRAM handle and none is given,
-    /// or if [`CoreConfig::kind`] is [`EngineKind::Udp`] (UDP lanes are
-    /// modeled by [`UdpLane`](crate::UdpLane), not by this interpreter).
+    /// Panics if a Baseline or Prefetch configuration has no cache
+    /// hierarchy or no DRAM handle is given, or if [`CoreConfig::kind`] is
+    /// [`EngineKind::Udp`] (UDP lanes are modeled by
+    /// [`UdpLane`](crate::UdpLane), not by this interpreter).
     pub fn new(id: usize, cfg: CoreConfig, program: Program, dram: Option<SharedDram>) -> Self {
         assert!(
             cfg.kind != EngineKind::Udp,
             "UDP lanes are modeled analytically, not by Core"
         );
-        let hierarchy = cfg.hierarchy.map(|h| {
-            MemHierarchy::new(
-                h,
-                dram.clone()
-                    .expect("cache hierarchy requires a DRAM handle"),
-            )
-        });
-        let staging = (cfg.kind == EngineKind::AssasinSp).then(|| PingPong::new(cfg.staging_bytes));
+        let path = match cfg.kind.style() {
+            AccessStyle::Mem => {
+                let (Some(h), Some(dram)) = (cfg.hierarchy, dram) else {
+                    panic!("the Mem data path needs a cache hierarchy and a DRAM handle");
+                };
+                DataPath::Mem {
+                    hierarchy: MemHierarchy::new(h, dram),
+                    window: DramWindow::default(),
+                }
+            }
+            AccessStyle::PingPong => DataPath::PingPong(PingPong::new(cfg.staging_bytes)),
+            AccessStyle::Stream => DataPath::Stream(StreamBuffer::new(cfg.streambuffer)),
+        };
         let code = predecode(&program, &cfg);
         Core {
             id,
@@ -317,10 +366,7 @@ impl Core {
             cycle: 0,
             state: CoreState::Running,
             scratchpad: Scratchpad::new(cfg.scratchpad_bytes as usize),
-            sbuf: StreamBuffer::new(cfg.streambuffer),
-            hierarchy,
-            window: None,
-            staging,
+            path,
             breakdown: CycleBreakdown::default(),
             mix: InstrMix::default(),
         }
@@ -384,44 +430,67 @@ impl Core {
         }
     }
 
-    /// The function-state scratchpad (firmware preloads state here).
-    pub fn scratchpad_mut(&mut self) -> &mut Scratchpad {
-        &mut self.scratchpad
-    }
-
     /// Immutable scratchpad view (result extraction).
     pub fn scratchpad(&self) -> &Scratchpad {
         &self.scratchpad
     }
 
-    /// The streambuffer (firmware prefill / final flush).
-    pub fn sbuf_mut(&mut self) -> &mut StreamBuffer {
-        &mut self.sbuf
+    /// Writes a kernel's function state into the scratchpad before launch:
+    /// `(offset, bytes)` pairs, as the kernels' `scratchpad_image`
+    /// functions return them.
+    pub fn preload(&mut self, image: &[(u32, Vec<u8>)]) -> Result<(), MemError> {
+        for (off, bytes) in image {
+            self.scratchpad.write_bytes(*off as u64, bytes)?;
+        }
+        Ok(())
     }
 
-    /// Streambuffer view.
-    pub fn sbuf(&self) -> &StreamBuffer {
-        &self.sbuf
+    /// How this core reaches storage data.
+    pub fn data_path(&self) -> &DataPath {
+        &self.path
     }
 
-    /// Attaches the DRAM staging window (Baseline/Prefetch/Sb$ data path).
-    pub fn set_window(&mut self, window: DramWindow) {
-        self.window = Some(window);
+    /// Mutable data path (the firmware prefills streambuffers).
+    pub fn data_path_mut(&mut self) -> &mut DataPath {
+        &mut self.path
     }
 
-    /// The DRAM staging window, if attached.
-    pub fn window(&self) -> Option<&DramWindow> {
-        self.window.as_ref()
+    /// Attaches a Mem-style launch window and writes its [`LaunchInfo`]
+    /// into the launch registers. Fails on engines without a DRAM window.
+    pub fn launch_mem(&mut self, window: DramWindow) -> Result<(), String> {
+        let DataPath::Mem { window: slot, .. } = &mut self.path else {
+            return Err(NO_DRAM.into());
+        };
+        let launch = window.launch();
+        *slot = window;
+        let (r_len, r_stride, r_out) = LaunchInfo::regs();
+        self.set_reg(r_len, launch.in_len);
+        self.set_reg(r_stride, launch.in_stride);
+        self.set_reg(r_out, launch.out_offset);
+        Ok(())
     }
 
-    /// Mutable DRAM staging window (the firmware stages pages into it).
-    pub fn window_mut(&mut self) -> Option<&mut DramWindow> {
-        self.window.as_mut()
+    /// The output a halted Mem-style kernel left in its DRAM window (see
+    /// [`DramWindow::output`]). Fails on engines without a DRAM window.
+    pub fn mem_output(&self) -> Result<&[u8], String> {
+        let DataPath::Mem { window, .. } = &self.path else {
+            return Err(NO_DRAM.into());
+        };
+        window.output(self.reg(LaunchInfo::OUT_CURSOR))
     }
 
-    /// Cache/prefetch counters, if a hierarchy is attached.
-    pub fn hierarchy(&self) -> Option<&MemHierarchy> {
-        self.hierarchy.as_ref()
+    /// Drains the partial last page of output stream 0 into `env` at the
+    /// core's local time, as the firmware does once the core halts. Does
+    /// nothing on engines without a streambuffer.
+    pub fn flush_output(&mut self, env: &mut dyn StreamEnv) -> Result<(), String> {
+        let now = self.local_time();
+        let DataPath::Stream(sbuf) = &mut self.path else {
+            return Ok(());
+        };
+        if let Some(tail) = sbuf.flush(0).map_err(|e| format!("flush: {e}"))? {
+            env.drain_page(self.id, 0, tail, now);
+        }
+        Ok(())
     }
 
     /// Flushes `n` batched retirements into the unconditional
@@ -673,27 +742,28 @@ impl Core {
                 }
             }
             Slot::StreamAvail { rd, sid } => {
-                env.refill_stream(
-                    self.id,
-                    sid as u32,
-                    self.issue_at(issue_cycle),
-                    &mut self.sbuf,
-                );
-                let avail = self
-                    .sbuf
-                    .in_bytes_available(sid as u32)
-                    .min(u32::MAX as u64);
-                self.set_reg_idx(rd, avail as u32);
+                let sid = sid as u32;
+                let issue = self.issue_at(issue_cycle);
+                match self.stream_query(env, sid, issue, |sbuf| {
+                    sbuf.in_bytes_available(sid).min(u32::MAX as u64) as u32
+                }) {
+                    Ok(avail) => self.set_reg_idx(rd, avail),
+                    Err(msg) => {
+                        self.wedge(msg);
+                        return;
+                    }
+                }
             }
             Slot::StreamEos { rd, sid } => {
-                env.refill_stream(
-                    self.id,
-                    sid as u32,
-                    self.issue_at(issue_cycle),
-                    &mut self.sbuf,
-                );
-                let eos = self.sbuf.is_exhausted(sid as u32);
-                self.set_reg_idx(rd, eos as u32);
+                let sid = sid as u32;
+                let issue = self.issue_at(issue_cycle);
+                match self.stream_query(env, sid, issue, |sbuf| sbuf.is_exhausted(sid) as u32) {
+                    Ok(eos) => self.set_reg_idx(rd, eos),
+                    Err(msg) => {
+                        self.wedge(msg);
+                        return;
+                    }
+                }
             }
             Slot::BufSwap { bank } => {
                 if let Err(msg) = self.buf_swap(env, bank, self.issue_at(issue_cycle)) {
@@ -710,39 +780,23 @@ impl Core {
     }
 
     fn read_csr(&self, num: u16) -> u32 {
-        match num {
-            csr::CYCLE => self.cycle as u32,
-            Self::CSR_IN_BANK_LEN => self
-                .staging
-                .as_ref()
-                .map(|s| s.in_len() as u32)
-                .unwrap_or(0),
-            n if (0x800..0x808).contains(&n) => self
-                .sbuf
-                .in_csrs((n - 0x800) as u32)
-                .map(|c| c.0)
-                .unwrap_or(0) as u32,
-            n if (0x810..0x818).contains(&n) => self
-                .sbuf
-                .in_csrs((n - 0x810) as u32)
-                .map(|c| c.1)
-                .unwrap_or(0) as u32,
-            n if (0x820..0x828).contains(&n) => self
-                .sbuf
-                .out_csrs((n - 0x820) as u32)
-                .map(|c| c.0)
-                .unwrap_or(0) as u32,
-            n if (0x830..0x838).contains(&n) => self
-                .sbuf
-                .out_csrs((n - 0x830) as u32)
-                .map(|c| c.1)
-                .unwrap_or(0) as u32,
+        match (num, &self.path) {
+            (csr::CYCLE, _) => self.cycle as u32,
+            (csr::IN_BANK_LEN, DataPath::PingPong(staging)) => staging.in_len() as u32,
+            // Head/tail of input (0x800/0x810) and output (0x820/0x830)
+            // streams 0..8.
+            (0x800..0x838, DataPath::Stream(sbuf)) if num & 0x8 == 0 => {
+                let sid = (num & 0x7) as u32;
+                let csrs = if num < 0x820 {
+                    sbuf.in_csrs(sid)
+                } else {
+                    sbuf.out_csrs(sid)
+                };
+                csrs.map_or(0, |(head, tail)| if num & 0x10 == 0 { head } else { tail }) as u32
+            }
             _ => 0,
         }
     }
-
-    /// CSR holding the valid length of the current AssasinSp input bank.
-    pub const CSR_IN_BANK_LEN: u16 = 0xC10;
 
     // ------------------------------------------------------------- memory
 
@@ -752,9 +806,7 @@ impl Core {
         }
         if addr >= layout::STAGING_IN_BASE {
             let off = addr - layout::STAGING_IN_BASE;
-            let Some(staging) = &self.staging else {
-                return Err("staging access without ping-pong buffers".into());
-            };
+            let staging = self.path.staging()?;
             if off as usize + width as usize > staging.in_len() {
                 return Err(format!("staging load past bank length at {off:#x}"));
             }
@@ -765,17 +817,14 @@ impl Core {
         }
         if addr >= layout::DRAM_BASE {
             let off = addr - layout::DRAM_BASE;
-            let Some(window) = &self.window else {
-                return Err("DRAM access without a staging window".into());
+            let DataPath::Mem { hierarchy, window } = &mut self.path else {
+                return Err(NO_DRAM.into());
             };
             if !window.contains(off, width) {
                 return Err(format!("DRAM load outside window at {off:#x}"));
             }
-            let Some(hier) = &mut self.hierarchy else {
-                return Err("DRAM access without a cache hierarchy".into());
-            };
             let (complete, served) =
-                hier.access(AccessKind::Load, self.pc as u64, off, width, issue);
+                hierarchy.access(AccessKind::Load, self.pc as u64, off, width, issue);
             let value = window.load(off, width);
             let avail = window.avail_at(off);
             let stall = self.stall_cycles(issue, complete);
@@ -812,9 +861,7 @@ impl Core {
     ) -> Result<(), String> {
         if addr >= layout::STAGING_OUT_BASE {
             let off = addr - layout::STAGING_OUT_BASE;
-            let Some(staging) = &mut self.staging else {
-                return Err("staging access without ping-pong buffers".into());
-            };
+            let staging = self.path.staging()?;
             if off as usize + width as usize > staging.bank_bytes() as usize {
                 return Err(format!("staging store past bank at {off:#x}"));
             }
@@ -828,17 +875,15 @@ impl Core {
         }
         if addr >= layout::DRAM_BASE {
             let off = addr - layout::DRAM_BASE;
-            let Some(window) = &mut self.window else {
-                return Err("DRAM access without a staging window".into());
+            let DataPath::Mem { hierarchy, window } = &mut self.path else {
+                return Err(NO_DRAM.into());
             };
             if !window.contains(off, width) {
                 return Err(format!("DRAM store outside window at {off:#x}"));
             }
             window.store(off, width, value);
-            let Some(hier) = &mut self.hierarchy else {
-                return Err("DRAM access without a cache hierarchy".into());
-            };
-            let (complete, _) = hier.access(AccessKind::Store, self.pc as u64, off, width, issue);
+            let (complete, _) =
+                hierarchy.access(AccessKind::Store, self.pc as u64, off, width, issue);
             let stall = self.stall_cycles(issue, complete);
             self.charge(stall, |b| &mut b.stall_l1);
             return Ok(());
@@ -860,54 +905,48 @@ impl Core {
         width: u32,
         issue: SimTime,
     ) -> Result<Option<u32>, String> {
-        {
-            match self.sbuf.read(sid, width, issue) {
-                Ok(ReadOutcome::Data {
-                    value,
-                    ready,
-                    freed_pages,
-                }) => {
-                    let stall = self.stall_cycles(issue, ready);
-                    self.charge(stall, |b| &mut b.stall_stream);
-                    if freed_pages > 0 {
-                        let now = self.local_time();
-                        env.refill_stream(self.id, sid, now, &mut self.sbuf);
-                    }
-                    Ok(Some(value as u32))
-                }
-                Ok(ReadOutcome::Blocked) => {
-                    env.refill_stream(self.id, sid, issue, &mut self.sbuf);
-                    match self.sbuf.read(sid, width, issue) {
-                        Ok(ReadOutcome::Blocked) => {
-                            Err(format!("stream {sid} starved after refill"))
-                        }
-                        Ok(ReadOutcome::Exhausted) => {
-                            self.state = CoreState::Halted;
-                            Ok(None)
-                        }
-                        Ok(ReadOutcome::Data {
-                            value,
-                            ready,
-                            freed_pages,
-                        }) => {
-                            let stall = self.stall_cycles(issue, ready);
-                            self.charge(stall, |b| &mut b.stall_stream);
-                            if freed_pages > 0 {
-                                let now = self.local_time();
-                                env.refill_stream(self.id, sid, now, &mut self.sbuf);
-                            }
-                            Ok(Some(value as u32))
-                        }
-                        Err(e) => Err(format!("stream load failed: {e}")),
-                    }
-                }
-                Ok(ReadOutcome::Exhausted) => {
-                    self.state = CoreState::Halted;
-                    Ok(None)
-                }
-                Err(e) => Err(format!("stream load failed: {e}")),
-            }
+        let id = self.id;
+        let sbuf = self.path.stream()?;
+        let mut read = sbuf.read(sid, width, issue);
+        if let Ok(ReadOutcome::Blocked) = read {
+            env.refill_stream(id, sid, issue, sbuf);
+            read = sbuf.read(sid, width, issue);
         }
+        match read {
+            Ok(ReadOutcome::Data {
+                value,
+                ready,
+                freed_pages,
+            }) => {
+                let stall = self.stall_cycles(issue, ready);
+                self.charge(stall, |b| &mut b.stall_stream);
+                if freed_pages > 0 {
+                    let now = self.local_time();
+                    env.refill_stream(id, sid, now, self.path.stream()?);
+                }
+                Ok(Some(value as u32))
+            }
+            Ok(ReadOutcome::Exhausted) => {
+                self.state = CoreState::Halted;
+                Ok(None)
+            }
+            Ok(ReadOutcome::Blocked) => Err(format!("stream {sid} starved after refill")),
+            Err(e) => Err(format!("stream load failed: {e}")),
+        }
+    }
+
+    /// Refills input stream `sid`, then reads one fact off the
+    /// streambuffer (`StreamAvail`, `StreamEos`).
+    fn stream_query(
+        &mut self,
+        env: &mut dyn StreamEnv,
+        sid: u32,
+        issue: SimTime,
+        fact: impl FnOnce(&StreamBuffer) -> u32,
+    ) -> Result<u32, String> {
+        let sbuf = self.path.stream()?;
+        env.refill_stream(self.id, sid, issue, sbuf);
+        Ok(fact(sbuf))
     }
 
     fn stream_store(
@@ -919,7 +958,8 @@ impl Core {
         issue: SimTime,
     ) -> Result<(), String> {
         let outcome = self
-            .sbuf
+            .path
+            .stream()?
             .write(sid, width, value as u64, issue)
             .map_err(|e| format!("stream store failed: {e}"))?;
         let stall = self.stall_cycles(issue, outcome.ready);
@@ -927,7 +967,8 @@ impl Core {
         if let Some(page) = outcome.completed_page {
             let now = self.local_time();
             let done = env.drain_page(self.id, sid, page, now);
-            self.sbuf
+            self.path
+                .stream()?
                 .note_drain(sid, done)
                 .map_err(|e| format!("drain bookkeeping failed: {e}"))?;
         }
@@ -940,37 +981,29 @@ impl Core {
         bank: u8,
         issue: SimTime,
     ) -> Result<(), String> {
-        let Some(_) = self.staging else {
-            return Err("buf.swap without ping-pong buffers".into());
-        };
+        let id = self.id;
+        let staging = self.path.staging()?;
         match bank {
-            0 => {
-                match env.next_input_bank(self.id, issue) {
-                    Some((data, ready)) => {
-                        let staging = self.staging.as_mut().expect("checked");
-                        staging.install_input(data);
-                        let stall = self.stall_cycles(issue, ready);
-                        self.charge(stall, |b| &mut b.stall_swap);
-                    }
-                    None => {
-                        self.staging.as_mut().expect("checked").set_exhausted();
-                    }
+            0 => match env.next_input_bank(id, issue) {
+                Some((data, ready)) => {
+                    staging.install_input(data);
+                    let stall = self.stall_cycles(issue, ready);
+                    self.charge(stall, |b| &mut b.stall_swap);
                 }
-                Ok(())
-            }
+                None => staging.set_exhausted(),
+            },
             1 => {
-                let staging = self.staging.as_mut().expect("checked");
                 let prev_done = staging.drain_done();
                 let data = staging.take_output();
                 let stall = self.stall_cycles(issue, prev_done);
                 self.charge(stall, |b| &mut b.stall_swap);
                 let now = self.local_time().max(prev_done);
-                let done = env.drain_bank(self.id, data, now);
-                self.staging.as_mut().expect("checked").set_drain_done(done);
-                Ok(())
+                let done = env.drain_bank(id, data, now);
+                self.path.staging()?.set_drain_done(done);
             }
-            other => Err(format!("buf.swap of unknown bank {other}")),
+            other => return Err(format!("buf.swap of unknown bank {other}")),
         }
+        Ok(())
     }
 }
 
@@ -1177,9 +1210,7 @@ mod tests {
         let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
         core.run_to_halt(&mut env);
         // Flush the partial final page like the firmware would.
-        if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-            env.drain_page(0, 0, tail, SimTime::ZERO);
-        }
+        core.flush_output(&mut env).unwrap();
         assert_eq!(env.output(0), &data[..]);
     }
 
@@ -1210,23 +1241,26 @@ mod tests {
     fn dram_window_load_uses_hierarchy() {
         use assasin_mem::Dram;
         let mut asm = Assembler::new();
-        asm.lui(Reg::S0, 0x10000); // DRAM_BASE
+        asm.li(Reg::S0, layout::DRAM_BASE as i64);
         asm.lw(Reg::A0, Reg::S0, 0);
         asm.lw(Reg::A1, Reg::S0, 4);
         asm.halt();
         let program = asm.finish().unwrap();
         let dram = Dram::lpddr5_8gbps().into_shared();
         let mut core = Core::new(0, CoreConfig::baseline(), program, Some(dram));
-        let mut w = DramWindow::new(4096, 4096);
-        w.stage(0, &[1, 0, 0, 0, 2, 0, 0, 0], SimTime::ZERO);
-        core.set_window(w);
+        let mut w = DramWindow::new(1, 8, 0, 4096);
+        w.stage(0, 0, &[1, 0, 0, 0, 2, 0, 0, 0], SimTime::ZERO);
+        core.launch_mem(w).unwrap();
         core.run_to_halt(&mut NullEnv);
         assert_eq!(core.state(), &CoreState::Halted);
         assert_eq!(core.reg(Reg::A0), 1);
         assert_eq!(core.reg(Reg::A1), 2);
         // First lw misses to DRAM, second hits L1.
         assert!(core.breakdown().stall_dram > 0);
-        let (hits, misses) = core.hierarchy().unwrap().l1_counters().unwrap();
+        let DataPath::Mem { hierarchy, .. } = core.data_path() else {
+            panic!("Baseline runs on the Mem data path");
+        };
+        let (hits, misses) = hierarchy.l1_counters().unwrap();
         assert_eq!((hits, misses), (1, 1));
     }
 
@@ -1238,9 +1272,9 @@ mod tests {
         let done = asm.label();
         asm.bind(outer);
         asm.buf_swap(0);
-        asm.csrr(Reg::A0, Core::CSR_IN_BANK_LEN);
+        asm.csrr(Reg::A0, csr::IN_BANK_LEN);
         asm.beqz(Reg::A0, done);
-        asm.lui(Reg::S0, 0x20000); // STAGING_IN_BASE
+        asm.li(Reg::S0, layout::STAGING_IN_BASE as i64);
         asm.li(Reg::T0, 0);
         let inner = asm.label();
         asm.bind(inner);
@@ -1420,12 +1454,63 @@ mod more_tests {
     #[test]
     fn wedges_on_store_to_input_staging() {
         let mut asm = Assembler::new();
-        asm.lui(Reg::S0, 0x20000);
+        asm.li(Reg::S0, layout::STAGING_IN_BASE as i64);
         asm.sw(Reg::A0, Reg::S0, 0);
         asm.halt();
         let mut core = Core::new(0, CoreConfig::assasin_sp(), asm.finish().unwrap(), None);
         core.run_to_halt(&mut NullEnv);
         assert!(matches!(core.state(), CoreState::Wedged(m) if m.contains("input staging")));
+    }
+
+    #[test]
+    fn each_engine_wedges_on_structures_it_lacks() {
+        use assasin_mem::Dram;
+        use AccessStyle as S;
+        fn mem_op(asm: &mut Assembler, base: u64, store: bool) {
+            asm.li(Reg::S0, base as i64);
+            match store {
+                true => asm.sw(Reg::A0, Reg::S0, 0),
+                false => asm.lw(Reg::A0, Reg::S0, 0),
+            }
+        }
+        type Probe = fn(&mut Assembler);
+        let probes: [(S, Probe); 9] = [
+            (S::Mem, |a| mem_op(a, layout::DRAM_BASE, false)),
+            (S::Mem, |a| mem_op(a, layout::DRAM_BASE, true)),
+            (S::PingPong, |a| mem_op(a, layout::STAGING_IN_BASE, false)),
+            (S::PingPong, |a| mem_op(a, layout::STAGING_OUT_BASE, true)),
+            (S::Stream, |a| a.stream_load(Reg::A0, 0, 4)),
+            (S::Stream, |a| a.stream_store(0, 4, Reg::A0)),
+            (S::Stream, |a| a.stream_avail(Reg::A0, 0)),
+            (S::Stream, |a| a.stream_eos(Reg::A0, 0)),
+            (S::PingPong, |a| a.buf_swap(0)),
+        ];
+        for kind in EngineKind::ALL
+            .into_iter()
+            .filter(|&k| k != EngineKind::Udp)
+        {
+            for (i, (needs, probe)) in probes.iter().enumerate() {
+                let mut asm = Assembler::new();
+                probe(&mut asm);
+                asm.halt();
+                let dram = Some(Dram::lpddr5_8gbps().into_shared());
+                let mut core =
+                    Core::new(0, CoreConfig::for_kind(kind), asm.finish().unwrap(), dram);
+                core.run_to_halt(&mut NullEnv);
+                let structure = match needs {
+                    S::Mem => "no DRAM window",
+                    S::PingPong => "no ping-pong staging",
+                    S::Stream => "no streambuffer",
+                };
+                let wedged = matches!(core.state(), CoreState::Wedged(m) if m.contains(structure));
+                let state = core.state();
+                assert_eq!(
+                    wedged,
+                    kind.style() != *needs,
+                    "{kind:?} probe {i}: {state:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! * one instruction per cycle base rate (in-order scalar, ibex-class);
 //! * multi-cycle multiply/divide and taken-branch penalties;
-//! * blocking loads through whichever memory structure the configuration
-//!   provides — cache hierarchy ([`assasin_mem::MemHierarchy`]),
-//!   scratchpad, ping-pong staging buffers, or the streambuffer;
+//! * blocking loads from the function-state scratchpad and from the one
+//!   [`DataPath`] the engine reaches storage data through — a DRAM window
+//!   behind the cache hierarchy ([`assasin_mem::MemHierarchy`]),
+//!   ping-pong staging buffers, or the streambuffer;
 //! * stall cycles attributed by cause, producing the Figure 5 cycle
 //!   decomposition.
 //!
@@ -29,7 +30,7 @@ mod regions;
 mod udp;
 
 pub use config::{CoreConfig, EngineKind};
-pub use cpu::{Core, CoreState, InstrMix, RunOutcome};
+pub use cpu::{Core, CoreState, DataPath, InstrMix, RunOutcome};
 pub use env::{NullEnv, StreamEnv, SyntheticEnv};
-pub use regions::{bank_chunk, layout, DramWindow, PingPong};
+pub use regions::{bank_chunk, DramWindow, PingPong};
 pub use udp::{KernelProfile, UdpLane};

@@ -1,57 +1,72 @@
-//! Core address-space layout and the backing stores of each region.
+//! The backing stores of the core's storage-data regions.
 
+use assasin_isa::{layout, LaunchInfo};
 use assasin_sim::SimTime;
 use bytes::Bytes;
 
-/// The core's address map.
-pub mod layout {
-    /// Function-state scratchpad base.
-    pub const SCRATCHPAD_BASE: u64 = 0x0000_0000;
-    /// DRAM-backed (cached) region base — staged input/output for
-    /// Baseline/Prefetch, spill space for AssasinSb$.
-    pub const DRAM_BASE: u64 = 0x1000_0000;
-    /// AssasinSp input staging bank window base.
-    pub const STAGING_IN_BASE: u64 = 0x2000_0000;
-    /// AssasinSp output staging bank window base.
-    pub const STAGING_OUT_BASE: u64 = 0x2800_0000;
-}
-
 /// A window of SSD DRAM visible to a core (Baseline/Prefetch data path,
-/// Figure 4). Functional bytes plus per-page staging availability: the
-/// firmware stages flash pages into DRAM over time, and a read of a page
-/// that has not arrived yet must wait.
+/// Figure 4), and the one owner of the Mem launch convention: where the
+/// firmware stages each input stream, which values it launches the kernel
+/// with, and where the kernel's output sits at halt. Functional bytes plus
+/// per-page staging availability: the firmware stages flash pages into
+/// DRAM over time, and a read of a page that has not arrived yet must wait.
 #[derive(Debug, Clone)]
 pub struct DramWindow {
     data: Vec<u8>,
     page_bytes: u32,
     avail: Vec<SimTime>,
+    launch: LaunchInfo,
+}
+
+impl Default for DramWindow {
+    /// An empty window, outside which every access falls: the state of a
+    /// Mem-style core before its launch.
+    fn default() -> Self {
+        let (data, avail, launch) = Default::default();
+        DramWindow {
+            data,
+            page_bytes: 1,
+            avail,
+            launch,
+        }
+    }
 }
 
 impl DramWindow {
-    /// Creates a zeroed window of `size` bytes with `page_bytes` staging
-    /// granularity; all pages immediately available.
-    pub fn new(size: usize, page_bytes: u32) -> Self {
-        let pages = size.div_ceil(page_bytes as usize);
+    /// Lays out a zeroed window for `n_in` input streams of `in_len` bytes
+    /// each: stream `i` starts at `i` times `in_len` padded to 64 bytes,
+    /// and `out_bytes` of output space (padded to 64 bytes, plus one spare
+    /// line) start at the next `page_bytes` boundary, which is also the
+    /// staging granularity. All pages start available.
+    pub fn new(n_in: usize, in_len: u64, out_bytes: u64, page_bytes: u32) -> Self {
+        let stride = in_len.next_multiple_of(64);
+        let out_offset = (stride * n_in as u64).next_multiple_of(page_bytes as u64);
+        let size = (out_offset + out_bytes.next_multiple_of(64) + 64) as usize;
         DramWindow {
             data: vec![0; size],
             page_bytes,
-            avail: vec![SimTime::ZERO; pages],
+            avail: vec![SimTime::ZERO; size.div_ceil(page_bytes as usize)],
+            launch: LaunchInfo {
+                in_len: in_len as u32,
+                in_stride: stride as u32,
+                out_offset: out_offset as u32,
+            },
         }
     }
 
-    /// Window size in bytes.
-    pub fn size(&self) -> usize {
-        self.data.len()
+    /// The launch-register values of this layout.
+    pub fn launch(&self) -> LaunchInfo {
+        self.launch
     }
 
-    /// Stages `src` at `offset`, marking the covered pages available at
-    /// `at`.
+    /// Stages `src` at byte `pos` of input stream `sid`, marking the
+    /// covered pages available at `at`.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the window.
-    pub fn stage(&mut self, offset: u64, src: &[u8], at: SimTime) {
-        let start = offset as usize;
+    pub fn stage(&mut self, sid: usize, pos: u64, src: &[u8], at: SimTime) {
+        let start = (sid as u64 * self.launch.in_stride as u64 + pos) as usize;
         let end = start + src.len();
         assert!(end <= self.data.len(), "staging beyond window");
         self.data[start..end].copy_from_slice(src);
@@ -60,6 +75,24 @@ impl DramWindow {
         for p in first..=last {
             self.avail[p] = self.avail[p].max(at);
         }
+    }
+
+    /// The output a Mem kernel produced, given the value of its
+    /// [`LaunchInfo::OUT_CURSOR`] at halt: the bytes from the output
+    /// area's base up to the cursor. The cursor is program-controlled, so
+    /// one past the window is an error for the caller to report, not a
+    /// panic.
+    pub fn output(&self, cursor: u32) -> Result<&[u8], String> {
+        let start = self.launch.out_offset as u64;
+        let end = start + (cursor as u64).saturating_sub(layout::DRAM_BASE + start);
+        if end > self.data.len() as u64 {
+            return Err(format!(
+                "output cursor {cursor:#x} places results at {start:#x}..{end:#x}, \
+                 past its {}-byte DRAM window",
+                self.data.len()
+            ));
+        }
+        Ok(&self.data[start as usize..end as usize])
     }
 
     /// When the page containing `offset` becomes readable.
@@ -72,8 +105,8 @@ impl DramWindow {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-window access (an SSD configuration bug, not a
-    /// recoverable program condition).
+    /// Panics on out-of-window access (callers check
+    /// [`DramWindow::contains`] first).
     pub fn load(&self, offset: u64, width: u32) -> u32 {
         let start = offset as usize;
         let mut buf = [0u8; 4];
@@ -90,11 +123,6 @@ impl DramWindow {
         let start = offset as usize;
         self.data[start..start + width as usize]
             .copy_from_slice(&value.to_le_bytes()[..width as usize]);
-    }
-
-    /// Reads back a byte range (result extraction).
-    pub fn bytes(&self, offset: u64, len: usize) -> &[u8] {
-        &self.data[offset as usize..offset as usize + len]
     }
 
     /// True if `offset..offset+width` fits the window.
@@ -120,7 +148,6 @@ pub struct PingPong {
     /// Input bank currently visible to the core.
     in_bank: Vec<u8>,
     in_len: usize,
-    in_exhausted: bool,
     /// Output bank being written by the core.
     out_bank: Vec<u8>,
     out_high_water: usize,
@@ -136,7 +163,6 @@ impl PingPong {
             bank_bytes,
             in_bank: Vec::new(),
             in_len: 0,
-            in_exhausted: false,
             out_bank: vec![0; bank_bytes as usize],
             out_high_water: 0,
             out_drain_done: SimTime::ZERO,
@@ -156,15 +182,10 @@ impl PingPong {
         self.in_bank.extend_from_slice(&data);
     }
 
-    /// Marks the input as exhausted (no more banks).
+    /// Marks the input as exhausted (no more banks): the bank length
+    /// reads 0 from then on.
     pub fn set_exhausted(&mut self) {
-        self.in_exhausted = true;
         self.in_len = 0;
-    }
-
-    /// True once the input side has no more banks.
-    pub fn exhausted(&self) -> bool {
-        self.in_exhausted
     }
 
     /// Valid bytes in the current input bank (the `CSR_IN_BANK_LEN` value).
@@ -229,21 +250,36 @@ mod tests {
     use super::*;
 
     #[test]
+    fn launch_layout_pads_streams_and_page_aligns_output() {
+        let w = DramWindow::new(3, 100, 10, 4096);
+        let launch = w.launch();
+        assert_eq!((launch.in_len, launch.in_stride), (100, 128));
+        assert_eq!(launch.out_offset, 4096, "3 x 128 B rounds up to a page");
+        let base = (layout::DRAM_BASE + 4096) as u32;
+        assert_eq!(w.output(base - 8).unwrap(), &[] as &[u8]);
+        assert_eq!(w.output(base + 5).unwrap().len(), 5);
+        assert_eq!(w.output(base + 128).unwrap().len(), 128);
+        let err = w.output(base + 129).unwrap_err();
+        assert!(err.contains("output cursor"), "{err}");
+    }
+
+    #[test]
     fn window_staging_and_availability() {
-        let mut w = DramWindow::new(8192, 4096);
+        let mut w = DramWindow::new(2, 4096, 0, 4096);
         assert_eq!(w.avail_at(0), SimTime::ZERO);
-        w.stage(4096, &[7; 4096], SimTime::from_us(3));
+        w.stage(1, 0, &[7; 4096], SimTime::from_us(3));
         assert_eq!(w.avail_at(5000), SimTime::from_us(3));
         assert_eq!(w.load(4096, 4), 0x0707_0707);
     }
 
     #[test]
     fn window_load_store_roundtrip() {
-        let mut w = DramWindow::new(64, 64);
+        let mut w = DramWindow::new(1, 0, 0, 64);
         w.store(8, 4, 0xDEAD_BEEF);
         assert_eq!(w.load(8, 4), 0xDEAD_BEEF);
         assert_eq!(w.load(8, 2), 0xBEEF);
-        assert_eq!(w.bytes(8, 2), &[0xEF, 0xBE]);
+        let out = w.output((layout::DRAM_BASE + 10) as u32).unwrap();
+        assert_eq!(&out[8..], &[0xEF, 0xBE]);
         assert!(w.contains(60, 4));
         assert!(!w.contains(61, 4));
     }
@@ -251,8 +287,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond window")]
     fn staging_overflow_panics() {
-        let mut w = DramWindow::new(64, 64);
-        w.stage(32, &[0; 64], SimTime::ZERO);
+        let mut w = DramWindow::new(1, 0, 0, 64);
+        w.stage(0, 32, &[0; 64], SimTime::ZERO);
     }
 
     #[test]
@@ -262,7 +298,6 @@ mod tests {
         assert_eq!(pp.in_len(), 4);
         assert_eq!(pp.load_in(0, 4), u32::from_le_bytes([1, 2, 3, 4]));
         pp.set_exhausted();
-        assert!(pp.exhausted());
         assert_eq!(pp.in_len(), 0);
     }
 

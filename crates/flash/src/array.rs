@@ -1,6 +1,6 @@
 //! The multi-channel flash array.
 
-use crate::fault::{FaultConfig, PageHealth, ReliabilityStats};
+use crate::fault::{FaultConfig, ReliabilityStats};
 use crate::{FlashChip, FlashError, FlashGeometry, FlashTiming, PhysPageAddr};
 use assasin_sim::{SimDur, SimTime, Timeline};
 use bytes::Bytes;
@@ -127,35 +127,20 @@ impl FlashArray {
 
     /// Reads a page: returns its data and the time the last byte crosses
     /// the channel bus (when a consumer — DRAM stager, streambuffer — has
-    /// the full page).
+    /// the full page). Retries and corrections land in
+    /// [`FlashArray::reliability_stats`].
     ///
     /// # Errors
     ///
     /// Fails if the address is out of range or the page was never
-    /// programmed.
+    /// programmed, and with [`FlashError::Uncorrectable`] when fault
+    /// injection deems the page unreadable after the full read-retry
+    /// ladder (the chip time for every sense is still charged).
     pub fn read_page(
         &mut self,
         addr: PhysPageAddr,
         ready: SimTime,
     ) -> Result<(Bytes, SimTime), FlashError> {
-        self.read_page_detailed(addr, ready)
-            .map(|(data, done, _)| (data, done))
-    }
-
-    /// Like [`FlashArray::read_page`], but also exposes the ECC outcome
-    /// ([`PageHealth`]) so the FTL can account retries and corrections.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlashArray::read_page`], plus
-    /// [`FlashError::Uncorrectable`] when fault injection deems the page
-    /// unreadable after the full read-retry ladder (the chip time for every
-    /// sense is still charged).
-    pub fn read_page_detailed(
-        &mut self,
-        addr: PhysPageAddr,
-        ready: SimTime,
-    ) -> Result<(Bytes, SimTime, PageHealth), FlashError> {
         self.check(addr)?;
         let page_bytes = self.geom.page_bytes;
         let t_read = self.timing.t_read;
@@ -185,7 +170,7 @@ impl FlashArray {
         let bus_grant = channel.bus.acquire(sensed, xfer);
         channel.stats.bytes_read += page_bytes as u64;
         channel.stats.page_reads += 1;
-        Ok((data, bus_grant.end, health))
+        Ok((data, bus_grant.end))
     }
 
     /// Writes (programs) a page: the bus moves data in, then the chip

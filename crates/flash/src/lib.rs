@@ -40,6 +40,6 @@ mod timing;
 pub use array::{ChannelStats, FlashArray};
 pub use chip::FlashChip;
 pub use error::FlashError;
-pub use fault::{FaultConfig, PageHealth, ReliabilityStats};
+pub use fault::{FaultConfig, ReliabilityStats};
 pub use geometry::{FlashGeometry, PhysPageAddr};
 pub use timing::FlashTiming;

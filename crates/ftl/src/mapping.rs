@@ -30,14 +30,6 @@ pub struct FtlStats {
     pub gc_relocations: u64,
     /// Blocks erased.
     pub erases: u64,
-    /// Read-retry re-senses performed beyond initial senses.
-    pub read_retries: u64,
-    /// Page reads that needed ECC correction.
-    pub ecc_corrected: u64,
-    /// Page reads that stayed uncorrectable after the retry ladder.
-    pub uncorrectable: u64,
-    /// Blocks retired as grown-bad after program/erase failures.
-    pub grown_bad_blocks: u64,
 }
 
 impl FtlStats {
@@ -387,34 +379,24 @@ impl Ftl {
         now: SimTime,
     ) -> Result<(Bytes, SimTime), FtlError> {
         let addr = self.translate(lpa).ok_or(FtlError::Unmapped(lpa))?;
-        self.read_phys(array, lpa, addr, now)
+        Self::read_phys(array, lpa, addr, now)
     }
 
-    /// Timed physical read with reliability accounting: retry and
-    /// correction counts land in [`FtlStats`]; an uncorrectable page
-    /// surfaces as a typed error carrying both addresses.
+    /// Timed physical read: an uncorrectable page surfaces as a typed
+    /// error carrying both addresses. Retries and corrections are counted
+    /// once, by the flash array ([`FlashArray::reliability_stats`]).
     fn read_phys(
-        &mut self,
         array: &mut FlashArray,
         lpa: Lpa,
         addr: PhysPageAddr,
         now: SimTime,
     ) -> Result<(Bytes, SimTime), FtlError> {
-        match array.read_page_detailed(addr, now) {
-            Ok((data, done, health)) => {
-                self.stats.read_retries += health.retries() as u64;
-                if health.corrected() {
-                    self.stats.ecc_corrected += 1;
-                }
-                Ok((data, done))
+        array.read_page(addr, now).map_err(|e| match e {
+            FlashError::Uncorrectable { addr, errors } => {
+                FtlError::Uncorrectable { lpa, addr, errors }
             }
-            Err(FlashError::Uncorrectable { addr, errors }) => {
-                self.stats.read_retries += array.fault_config().read_retry_limit as u64;
-                self.stats.uncorrectable += 1;
-                Err(FtlError::Uncorrectable { lpa, addr, errors })
-            }
-            Err(e) => Err(e.into()),
-        }
+            e => e.into(),
+        })
     }
 
     /// Marks a block grown-bad, removing it from the allocator for good.
@@ -430,7 +412,6 @@ impl Ftl {
         if state.active.map(|(b, _)| b) == Some(block) {
             state.active = None;
         }
-        self.stats.grown_bad_blocks += 1;
         true
     }
 
@@ -471,7 +452,7 @@ impl Ftl {
                     block,
                     page: p,
                 };
-                let (data, _) = self.read_phys(array, Lpa(lpa), old, now)?;
+                let (data, _) = Self::read_phys(array, Lpa(lpa), old, now)?;
                 loop {
                     let new = self.alloc_relocation_target(array, channel, chip, plane, now)?;
                     match array.write_page(new, data.clone(), now) {
@@ -575,7 +556,7 @@ impl Ftl {
                 block: victim,
                 page: p,
             };
-            let (data, _) = self.read_phys(array, Lpa(lpa), old, now)?;
+            let (data, _) = Self::read_phys(array, Lpa(lpa), old, now)?;
             loop {
                 let new = self.alloc_in_plane(array, channel, chip, plane, now, false)?;
                 match array.write_page(new, data.clone(), now) {
@@ -775,15 +756,9 @@ mod tests {
             ftl.write(&mut arr, Lpa(i), page(&geom, i as u8), SimTime::ZERO)
                 .unwrap();
         }
-        let stats = ftl.stats();
         assert!(
-            stats.grown_bad_blocks > 0,
+            arr.reliability_stats().grown_bad_blocks > 0,
             "2% program failures over {n} writes must retire blocks"
-        );
-        assert_eq!(
-            stats.grown_bad_blocks,
-            arr.reliability_stats().grown_bad_blocks,
-            "FTL and flash agree on grown-bad accounting"
         );
         // Every logical page — including those relocated out of retired
         // blocks — still reads back its own data.
@@ -824,7 +799,7 @@ mod tests {
             }
         }
         assert!(
-            ftl.stats().grown_bad_blocks > 0,
+            arr.reliability_stats().grown_bad_blocks > 0,
             "every erase fails, so GC must have retired victims"
         );
         // Pages written before the device filled are still readable.
@@ -854,7 +829,7 @@ mod tests {
             }
             other => panic!("expected Uncorrectable, got {other:?}"),
         }
-        assert_eq!(ftl.stats().uncorrectable, 1);
+        assert_eq!(arr.reliability_stats().uncorrectable, 1);
     }
 
     #[test]
@@ -867,7 +842,7 @@ mod tests {
             .unwrap();
         let (data, _) = ftl.read(&mut arr, Lpa(0), SimTime::ZERO).unwrap();
         assert_eq!(data, page(&geom, 0x22));
-        let stats = ftl.stats();
+        let stats = arr.reliability_stats();
         assert!(
             stats.read_retries >= 1,
             "lambda far above budget: {stats:?}"

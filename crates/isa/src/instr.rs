@@ -236,6 +236,23 @@ pub mod csr {
     }
     /// Core cycle counter (low 32 bits).
     pub const CYCLE: u16 = 0xC00;
+    /// Valid bytes in the current AssasinSp input bank (0 once the input
+    /// is exhausted, and on engines without ping-pong staging).
+    pub const IN_BANK_LEN: u16 = 0xC10;
+}
+
+/// The core's address map: where each data-path structure appears to a
+/// program's loads and stores.
+pub mod layout {
+    /// Function-state scratchpad base.
+    pub const SCRATCHPAD_BASE: u64 = 0x0000_0000;
+    /// DRAM window base: staged input and output of Baseline/Prefetch
+    /// ([`AccessStyle::Mem`](crate::AccessStyle::Mem)) kernels.
+    pub const DRAM_BASE: u64 = 0x1000_0000;
+    /// AssasinSp input staging bank window base.
+    pub const STAGING_IN_BASE: u64 = 0x2000_0000;
+    /// AssasinSp output staging bank window base.
+    pub const STAGING_OUT_BASE: u64 = 0x2800_0000;
 }
 
 impl fmt::Display for Instr {
@@ -374,6 +391,7 @@ mod tests {
             })
             .collect();
         all.push(csr::CYCLE);
+        all.push(csr::IN_BANK_LEN);
         let n = all.len();
         all.sort_unstable();
         all.dedup();

@@ -40,12 +40,14 @@ mod error;
 mod instr;
 mod program;
 mod reg;
+mod style;
 mod text;
 
 pub use asm::{Assembler, Label};
 pub use encode::{decode, encode};
 pub use error::{AsmError, DecodeError};
-pub use instr::{csr, AluOp, BranchCond, Instr};
+pub use instr::{csr, layout, AluOp, BranchCond, Instr};
 pub use program::Program;
 pub use reg::Reg;
+pub use style::{AccessStyle, LaunchInfo};
 pub use text::{parse_program, TextError};

@@ -53,4 +53,5 @@ mod slicing;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use style::{AccessStyle, KernelIo, LaunchInfo};
+pub use assasin_isa::{AccessStyle, LaunchInfo};
+pub use style::KernelIo;

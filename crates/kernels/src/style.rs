@@ -8,55 +8,11 @@
 //! comparisons isolate the memory system — the paper's experimental
 //! control.
 
-use assasin_isa::{Assembler, Label, Reg};
+use assasin_isa::{csr, layout, AccessStyle, Assembler, Label, LaunchInfo, Reg};
 
-/// The AssasinSp bank-length CSR (must match
-/// `assasin_core::Core::CSR_IN_BANK_LEN`).
-const CSR_IN_BANK_LEN: u16 = 0xC10;
-
-/// Upper 20 bits of the core's DRAM window base (0x1000_0000).
-const DRAM_BASE_HI: u32 = 0x10000;
-/// Upper 20 bits of the staging input window base (0x2000_0000).
-const STAGING_IN_HI: u32 = 0x20000;
-/// Upper 20 bits of the staging output window base (0x2800_0000).
-const STAGING_OUT_HI: u32 = 0x28000;
-
-/// How a kernel reaches storage data (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessStyle {
-    /// Stream ISA extension (AssasinSb, AssasinSb$).
-    Stream,
-    /// Ping-pong staging scratchpads (AssasinSp).
-    PingPong,
-    /// DRAM-staged data through the cache hierarchy (Baseline, Prefetch).
-    Mem,
-}
-
-impl AccessStyle {
-    /// All three styles.
-    pub const ALL: [AccessStyle; 3] =
-        [AccessStyle::Stream, AccessStyle::PingPong, AccessStyle::Mem];
-}
-
-/// The launch-register convention for [`AccessStyle::Mem`] kernels, which
-/// the firmware fills before starting the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchInfo {
-    /// Bytes per input stream (written to `a0`).
-    pub in_len: u32,
-    /// Byte stride between consecutive stream bases in the DRAM window
-    /// (written to `a1`; ignored for single-stream kernels).
-    pub in_stride: u32,
-    /// Output area offset within the DRAM window (written to `a2`).
-    pub out_offset: u32,
-}
-
-impl LaunchInfo {
-    /// Registers carrying the launch values, in order: `(a0, a1, a2)`.
-    pub fn regs() -> (Reg, Reg, Reg) {
-        (Reg::A0, Reg::A1, Reg::A2)
-    }
-}
+/// The output cursor of the pointer-walking styles, which a Mem kernel's
+/// output extraction reads at halt.
+const OUT: Reg = LaunchInfo::OUT_CURSOR;
 
 /// Loop labels handed back by [`KernelIo::begin`].
 #[derive(Debug, Clone, Copy)]
@@ -98,11 +54,6 @@ impl KernelIo {
         }
     }
 
-    /// The style this emitter targets.
-    pub fn style(&self) -> AccessStyle {
-        self.style
-    }
-
     fn cursor(i: u32) -> Reg {
         [Reg::S0, Reg::S1, Reg::S2, Reg::S3][i as usize]
     }
@@ -124,16 +75,16 @@ impl KernelIo {
             AccessStyle::Mem => {
                 let top = asm.label();
                 let exit = asm.label();
-                // Bases: s_i = DRAM_BASE + i*stride (stride in a1).
-                asm.lui(Reg::S7, DRAM_BASE_HI);
+                let (len, stride, out_offset) = LaunchInfo::regs();
+                // Bases: s_i = DRAM_BASE + i*stride.
+                asm.li(Reg::S7, layout::DRAM_BASE as i64);
                 asm.mv(Reg::S0, Reg::S7);
                 for i in 1..self.n_in {
-                    asm.add(Self::cursor(i), Self::cursor(i - 1), Reg::A1);
+                    asm.add(Self::cursor(i), Self::cursor(i - 1), stride);
                 }
-                // End bound for stream 0 (a0 = per-stream length).
-                asm.add(Reg::S4, Reg::S0, Reg::A0);
-                // Output cursor = DRAM_BASE + a2.
-                asm.add(Reg::S5, Reg::S7, Reg::A2);
+                // End bound for stream 0.
+                asm.add(Reg::S4, Reg::S0, len);
+                asm.add(OUT, Reg::S7, out_offset);
                 asm.bind(top);
                 asm.bgeu(Reg::S0, Reg::S4, exit);
                 LoopCtx {
@@ -150,9 +101,9 @@ impl KernelIo {
                 let bank_done = asm.label();
                 asm.bind(outer);
                 asm.buf_swap(0);
-                asm.csrr(Reg::S6, CSR_IN_BANK_LEN);
+                asm.csrr(Reg::S6, csr::IN_BANK_LEN);
                 asm.beqz(Reg::S6, exit);
-                asm.lui(Reg::S7, STAGING_IN_HI);
+                asm.li(Reg::S7, layout::STAGING_IN_BASE as i64);
                 asm.mv(Reg::S0, Reg::S7);
                 if self.n_in > 1 {
                     // Banks carry n_in equal chunks: chunk = len / n_in.
@@ -165,8 +116,8 @@ impl KernelIo {
                 } else {
                     asm.add(Reg::S4, Reg::S0, Reg::S6);
                 }
-                asm.lui(Reg::S7, STAGING_OUT_HI);
-                asm.mv(Reg::S5, Reg::S7);
+                asm.li(Reg::S7, layout::STAGING_OUT_BASE as i64);
+                asm.mv(OUT, Reg::S7);
                 asm.bind(top);
                 asm.bgeu(Reg::S0, Reg::S4, bank_done);
                 LoopCtx {
@@ -207,11 +158,11 @@ impl KernelIo {
             AccessStyle::Stream => asm.stream_store(0, width, rs),
             _ => {
                 match width {
-                    1 => asm.sb(rs, Reg::S5, 0),
-                    2 => asm.sh(rs, Reg::S5, 0),
-                    _ => asm.sw(rs, Reg::S5, 0),
+                    1 => asm.sb(rs, OUT, 0),
+                    2 => asm.sh(rs, OUT, 0),
+                    _ => asm.sw(rs, OUT, 0),
                 }
-                asm.addi(Reg::S5, Reg::S5, width as i64);
+                asm.addi(OUT, OUT, width as i64);
             }
         }
     }

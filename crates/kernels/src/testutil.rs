@@ -1,10 +1,9 @@
 //! Shared test harness: runs generated kernels on the cycle-level core in
 //! all three access styles and extracts their output.
 
-use crate::{AccessStyle, LaunchInfo};
-use assasin_core::StreamEnv as _;
+use crate::AccessStyle;
 use assasin_core::{Core, CoreConfig, CoreState, DramWindow, SyntheticEnv};
-use assasin_isa::{Program, Reg};
+use assasin_isa::Program;
 use assasin_mem::{Dram, SharedDram};
 use assasin_sim::SimTime;
 
@@ -58,9 +57,7 @@ pub fn stream_env(inputs: &[&[u8]]) -> SyntheticEnv {
 /// Flushes a halted stream-style core's partial last page, as the
 /// firmware would, and returns everything written to output stream 0.
 pub fn stream_output(core: &mut Core, env: &mut SyntheticEnv) -> Vec<u8> {
-    if let Some(tail) = core.sbuf_mut().flush(0).expect("stream 0 exists") {
-        env.drain_page(0, 0, tail, SimTime::ZERO);
-    }
+    core.flush_output(env).expect("stream 0 exists");
     env.output(0).to_vec()
 }
 
@@ -95,44 +92,24 @@ pub fn pingpong_env(inputs: &[&[u8]], granularity: usize) -> SyntheticEnv {
 
 /// DRAM-staged run (Baseline configuration).
 pub fn run_mem(program: Program, inputs: &[&[u8]], image: &[(u32, Vec<u8>)]) -> (Core, Vec<u8>) {
-    let n = inputs.len();
     let len = inputs[0].len();
     assert!(
         inputs.iter().all(|i| i.len() == len),
         "equal-length streams"
     );
-    let stride = len.next_multiple_of(64);
-    let out_offset = (n * stride).next_multiple_of(64);
     // Generous output space: decompression can expand many-fold.
-    let out_space = (8 * n * len + 64).max(256 * 1024).next_multiple_of(64);
-    let mut window = DramWindow::new(out_offset + out_space, 4096);
-    for (i, input) in inputs.iter().enumerate() {
-        window.stage((i * stride) as u64, input, SimTime::ZERO);
+    let out_bytes = (8 * inputs.len() * len).max(256 * 1024);
+    let mut window = DramWindow::new(inputs.len(), len as u64, out_bytes as u64, 4096);
+    for (sid, input) in inputs.iter().enumerate() {
+        window.stage(sid, 0, input, SimTime::ZERO);
     }
-    let launch = LaunchInfo {
-        in_len: len as u32,
-        in_stride: stride as u32,
-        out_offset: out_offset as u32,
-    };
     let dram = Dram::lpddr5_8gbps().into_shared();
     let mut core = preloaded(CoreConfig::baseline(), program, Some(dram), image);
-    core.set_window(window);
-    let (r_len, r_stride, r_out) = LaunchInfo::regs();
-    core.set_reg(r_len, launch.in_len);
-    core.set_reg(r_stride, launch.in_stride);
-    core.set_reg(r_out, launch.out_offset);
+    core.launch_mem(window)
+        .expect("Baseline runs on the Mem data path");
     core.run_to_halt(&mut assasin_core::NullEnv);
     assert_halted(&core);
-    // Output length = final out cursor - out base.
-    let cursor = core.reg(Reg::S5) as u64;
-    let base = 0x1000_0000u64 + out_offset as u64;
-    assert!(cursor >= base, "output cursor before base");
-    let out_len = (cursor - base) as usize;
-    let out = core
-        .window()
-        .expect("window attached")
-        .bytes(out_offset as u64, out_len)
-        .to_vec();
+    let out = core.mem_output().expect("output fits the window").to_vec();
     (core, out)
 }
 
@@ -144,11 +121,7 @@ pub fn preloaded(
     image: &[(u32, Vec<u8>)],
 ) -> Core {
     let mut core = Core::new(0, cfg, program, dram);
-    for (off, bytes) in image {
-        core.scratchpad_mut()
-            .write_bytes(*off as u64, bytes)
-            .expect("scratchpad image fits");
-    }
+    core.preload(image).expect("scratchpad image fits");
     core
 }
 

@@ -2,7 +2,7 @@
 //! crossbar, assembles ping-pong banks, and drains results to the host
 //! (Figure 10's control loop, driven demand-side by the cores).
 
-use crate::SsdError;
+use crate::{SsdError, MEDIA_BACKOFF, PCIE_LATENCY};
 use assasin_core::{bank_chunk, StreamEnv};
 use assasin_flash::{FlashArray, FlashError, PhysPageAddr};
 use assasin_ftl::{Ftl, FtlError, Lpa};
@@ -217,7 +217,6 @@ pub(crate) struct Backend<'a> {
     pub outputs: Vec<Vec<u8>>,
     /// Latest output-drain completion per core.
     pub out_done: Vec<SimTime>,
-    pub pcie_latency: SimDur,
     /// Ping-pong bank capacity (AssasinSp).
     pub bank_bytes: u32,
     /// Object granularity for bank assembly.
@@ -272,7 +271,7 @@ impl Backend<'_> {
             Sink::Host => {
                 // Read path: stage in DRAM, DMA to the host.
                 let staged = self.dram.borrow_mut().post(now, data.len() as u64);
-                self.pcie.transfer(staged, data.len() as u64) + self.pcie_latency
+                self.pcie.transfer(staged, data.len() as u64) + PCIE_LATENCY
             }
             // Write path: results go straight back through the crossbar
             // into flash pages — no DRAM, no PCIe.
@@ -285,9 +284,9 @@ impl Backend<'_> {
 
 /// Reads a physical page with SSD-level re-read attempts: an uncorrectable
 /// result is retried up to `retries` times, each re-issue delayed by one
-/// more `backoff` step (controller backoff before shifting thresholds and
-/// running the chip-level retry ladder again — fresh draws, since the
-/// chip's fault sequence advances per sense). A page that stays
+/// more [`MEDIA_BACKOFF`] step (controller backoff before shifting
+/// thresholds and running the chip-level retry ladder again — fresh draws,
+/// since the chip's fault sequence advances per sense). A page that stays
 /// uncorrectable surfaces as a typed [`SsdError::Media`] with its physical
 /// address; any other flash failure (unwritten page, bad size) propagates
 /// as a typed FTL/flash error instead of panicking.
@@ -296,11 +295,10 @@ pub(crate) fn read_page_retrying(
     addr: PhysPageAddr,
     issue: SimTime,
     retries: u32,
-    backoff: SimDur,
 ) -> Result<(Bytes, SimTime), SsdError> {
     let mut attempt = 0u32;
     loop {
-        match flash.read_page(addr, issue + backoff * attempt as u64) {
+        match flash.read_page(addr, issue + MEDIA_BACKOFF * attempt as u64) {
             Ok(ok) => return Ok(ok),
             Err(FlashError::Uncorrectable { .. }) if attempt < retries => attempt += 1,
             Err(FlashError::Uncorrectable { addr, errors }) => {
@@ -326,7 +324,6 @@ pub(crate) fn schedule_plans(
     crossbar_rate: f64,
     firmware_poll: SimDur,
     media_retries: u32,
-    media_backoff: SimDur,
     plans: &mut [Vec<StreamPlan>],
 ) -> Result<Vec<Vec<PageQueue>>, SsdError> {
     let mut scheduled: Vec<Vec<PageQueue>> = plans
@@ -345,7 +342,7 @@ pub(crate) fn schedule_plans(
                 };
                 progressed = true;
                 let (data, flash_arrival) =
-                    read_page_retrying(flash, page.addr, issue, media_retries, media_backoff)?;
+                    read_page_retrying(flash, page.addr, issue, media_retries)?;
                 let payload = data.slice(page.offset as usize..(page.offset + page.len) as usize);
                 // The crossbar is cut-through (Figure 6: computing on data
                 // *streaming* between flash and the engines): the port

@@ -4,6 +4,18 @@ use assasin_core::{CoreConfig, EngineKind};
 use assasin_flash::{FaultConfig, FlashGeometry, FlashTiming};
 use assasin_sim::SimDur;
 
+/// SSD DRAM access latency.
+pub const DRAM_LATENCY: SimDur = SimDur::from_ns(100);
+/// Host link bandwidth in bytes/second (PCIe Gen4 x4, 8 GB/s).
+pub const PCIE_BW: f64 = 8.0e9;
+/// Host link base latency.
+pub const PCIE_LATENCY: SimDur = SimDur::from_us(1);
+/// Bounded-slack co-simulation epoch (DESIGN.md §11).
+pub const EPOCH: SimDur = SimDur::from_us(10);
+/// Issue delay added per SSD-level media re-read (controller backoff
+/// before shifting thresholds and trying the page again; DESIGN.md §12).
+pub const MEDIA_BACKOFF: SimDur = SimDur::from_us(100);
+
 /// Configuration of one computational SSD.
 #[derive(Debug, Clone, Copy)]
 pub struct SsdConfig {
@@ -13,12 +25,6 @@ pub struct SsdConfig {
     pub timing: FlashTiming,
     /// SSD DRAM effective bandwidth in bytes/second (LPDDR5, 8 GB/s).
     pub dram_bw: f64,
-    /// SSD DRAM access latency.
-    pub dram_latency: SimDur,
-    /// Host link bandwidth in bytes/second (PCIe Gen4 x4, 8 GB/s).
-    pub pcie_bw: f64,
-    /// Host link base latency.
-    pub pcie_latency: SimDur,
     /// Crossbar per-port bandwidth in bytes/second (each ASSASIN core's
     /// ingress port; provisioned at the aggregate flash rate so a port can
     /// absorb a whole-array burst).
@@ -36,8 +42,6 @@ pub struct SsdConfig {
     pub channel_local: bool,
     /// Firmware polling granularity (added to every streambuffer refill).
     pub firmware_poll: SimDur,
-    /// Bounded-slack co-simulation epoch.
-    pub epoch: SimDur,
     /// Hang guard: abort with [`SsdError::Stuck`](crate::SsdError::Stuck)
     /// after this many co-simulation rounds.
     pub max_rounds: u64,
@@ -48,11 +52,8 @@ pub struct SsdConfig {
     pub fault: FaultConfig,
     /// SSD-level re-read attempts after an uncorrectable media error
     /// (transient-failure retry; each re-read runs the full flash-level
-    /// read-retry ladder again).
+    /// read-retry ladder again, [`MEDIA_BACKOFF`] later).
     pub media_retries: u32,
-    /// Issue delay added per SSD-level media re-read (controller backoff
-    /// before shifting thresholds and trying the page again).
-    pub media_backoff: SimDur,
 }
 
 impl SsdConfig {
@@ -62,21 +63,16 @@ impl SsdConfig {
             geometry: FlashGeometry::default(),
             timing: FlashTiming::default(),
             dram_bw: 8.0e9,
-            dram_latency: SimDur::from_ns(100),
-            pcie_bw: 8.0e9,
-            pcie_latency: SimDur::from_us(1),
             crossbar_port_bw: 8.0e9,
             n_cores: 8,
             engine,
             adjusted_timing: false,
             channel_local: false,
             firmware_poll: SimDur::from_us(1),
-            epoch: SimDur::from_us(10),
             max_rounds: 50_000_000,
             sb_pages: None,
             fault: FaultConfig::disabled(),
             media_retries: 2,
-            media_backoff: SimDur::from_us(100),
         }
     }
 

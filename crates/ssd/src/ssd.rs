@@ -2,15 +2,17 @@
 
 use crate::backend::{schedule_plans, split_ranges, Backend, FlashOut, PagePlan, Sink, StreamPlan};
 use crate::request::OutputTarget;
-use crate::{CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError};
+use crate::{
+    CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError, DRAM_LATENCY, EPOCH, MEDIA_BACKOFF,
+    PCIE_BW, PCIE_LATENCY,
+};
 use assasin_core::{
-    Core, CoreState, DramWindow, EngineKind, KernelProfile, RunOutcome, StreamEnv, SyntheticEnv,
-    UdpLane,
+    Core, CoreConfig, CoreState, DataPath, DramWindow, EngineKind, KernelProfile, RunOutcome,
+    StreamEnv, SyntheticEnv, UdpLane,
 };
 use assasin_flash::FlashArray;
 use assasin_ftl::{placement::Placement, Ftl, Lpa};
-use assasin_isa::Reg;
-use assasin_kernels::AccessStyle;
+use assasin_isa::{AccessStyle, Program};
 use assasin_mem::{Dram, SharedDram};
 use assasin_sim::{Bandwidth, SimDur, SimTime, Timeline};
 use bytes::Bytes;
@@ -95,8 +97,8 @@ impl Ssd {
     pub fn new(cfg: SsdConfig) -> Self {
         let flash = FlashArray::with_faults(cfg.geometry, cfg.timing, cfg.fault);
         let ftl = Ftl::new(cfg.geometry);
-        let dram = Dram::new(cfg.dram_latency, cfg.dram_bw).into_shared();
-        let pcie = Bandwidth::new("pcie", cfg.pcie_bw);
+        let dram = Dram::new(DRAM_LATENCY, cfg.dram_bw).into_shared();
+        let pcie = Bandwidth::new("pcie", PCIE_BW);
         let crossbar = (0..cfg.n_cores)
             .map(|i| Timeline::new(format!("xbar-port-{i}")))
             .collect();
@@ -128,7 +130,7 @@ impl Ssd {
 
     /// FTL read with SSD-level re-read attempts: an uncorrectable result is
     /// retried up to `media_retries` times, each re-issue backed off by one
-    /// more `media_backoff` step (the chip's fault sequence advances per
+    /// more [`MEDIA_BACKOFF`] step (the chip's fault sequence advances per
     /// sense, so every re-read runs a fresh retry ladder). A page that
     /// stays uncorrectable surfaces as [`SsdError::Media`] with both its
     /// logical and physical address.
@@ -139,7 +141,7 @@ impl Ssd {
     ) -> Result<(Bytes, SimTime), SsdError> {
         let mut attempt = 0u32;
         loop {
-            let when = issue + self.cfg.media_backoff * attempt as u64;
+            let when = issue + MEDIA_BACKOFF * attempt as u64;
             match self.ftl.read(&mut self.flash, lpa, when) {
                 Ok(ok) => return Ok(ok),
                 Err(assasin_ftl::FtlError::Uncorrectable { .. })
@@ -251,7 +253,7 @@ impl Ssd {
             let (payload, arrival) = self.ftl_read_retrying(lpa, SimTime::ZERO)?;
             // Stage in DRAM, then DMA to the host.
             let staged = self.dram.borrow_mut().post(arrival, page);
-            let sent = self.pcie.transfer(staged, page) + self.cfg.pcie_latency;
+            let sent = self.pcie.transfer(staged, page) + PCIE_LATENCY;
             done = done.max(sent);
             data.extend_from_slice(&payload);
         }
@@ -277,14 +279,6 @@ impl Ssd {
         data.truncate(bytes as usize);
         self.quiesce();
         Ok(data)
-    }
-
-    fn style(&self) -> AccessStyle {
-        match self.cfg.engine {
-            EngineKind::Baseline | EngineKind::Prefetch => AccessStyle::Mem,
-            EngineKind::AssasinSp => AccessStyle::PingPong,
-            _ => AccessStyle::Stream,
-        }
     }
 
     fn validate(&self, req: &ScompRequest) -> Result<Vec<u64>, SsdError> {
@@ -493,7 +487,7 @@ impl Ssd {
         debug_assert!(self.cfg.engine != EngineKind::Udp);
         let stream_bytes = self.validate(req)?;
         self.quiesce();
-        let style = self.style();
+        let style = self.cfg.engine.style();
         let program = req.kernel.program(style);
         let core_cfg = self.cfg.core_config();
         let n_cores = self.cfg.n_cores;
@@ -514,22 +508,13 @@ impl Ssd {
                 self.cfg.crossbar_port_bw,
                 self.cfg.firmware_poll,
                 self.cfg.media_retries,
-                self.cfg.media_backoff,
                 &mut plans,
             )?
         };
 
-        // ---- construct cores ------------------------------------------
-        let mut cores: Vec<Core> = Vec::with_capacity(n_cores);
-        for id in 0..n_cores {
-            let mut core = Core::new(id, core_cfg, program.clone(), Some(self.dram.clone()));
-            for (off, bytes) in req.kernel.scratchpad_image() {
-                core.scratchpad_mut()
-                    .write_bytes(*off as u64, bytes)
-                    .map_err(|e| SsdError::BadRequest(format!("scratchpad image: {e}")))?;
-            }
-            cores.push(core);
-        }
+        let mut cores = (0..n_cores)
+            .map(|id| kernel_core(id, core_cfg, program.clone(), Some(self.dram.clone()), req))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let sink = match req.output {
             OutputTarget::Host => Sink::Host,
@@ -568,46 +553,37 @@ impl Ssd {
             scheduled,
             outputs: vec![Vec::new(); n_cores],
             out_done: vec![SimTime::ZERO; n_cores],
-            pcie_latency: self.cfg.pcie_latency,
             bank_bytes: core_cfg.staging_bytes,
             granularity: req.kernel.granularity(),
             bytes_streamed: 0,
             per_core_streamed: vec![0; n_cores],
         };
 
-        // ---- per-style setup -------------------------------------------
-        let mut mem_out_offsets = vec![0u64; n_cores];
-        match style {
-            AccessStyle::Stream => {
-                for (id, core) in cores.iter_mut().enumerate() {
-                    for sid in 0..n_in as u32 {
-                        backend.refill_stream(id, sid, SimTime::ZERO, core.sbuf_mut());
-                    }
+        // ---- per-style setup (ping-pong banks are assembled on demand) ---
+        if style == AccessStyle::Mem {
+            stage_windows(
+                &mut cores,
+                &mut backend,
+                &mut plans,
+                req,
+                self.cfg.geometry.page_bytes,
+                self.cfg.firmware_poll,
+                self.cfg.media_retries,
+            )?;
+        }
+        for (id, core) in cores.iter_mut().enumerate() {
+            if let DataPath::Stream(sbuf) = core.data_path_mut() {
+                for sid in 0..n_in as u32 {
+                    backend.refill_stream(id, sid, SimTime::ZERO, sbuf);
                 }
-            }
-            AccessStyle::PingPong => {} // banks assembled on demand
-            AccessStyle::Mem => {
-                self::stage_windows(
-                    &mut cores,
-                    &mut backend,
-                    &mut plans,
-                    req,
-                    self.cfg.geometry.page_bytes,
-                    self.cfg.firmware_poll,
-                    self.cfg.media_retries,
-                    self.cfg.media_backoff,
-                    &mut mem_out_offsets,
-                )?;
             }
         }
 
         Ok(Session {
             cfg: self.cfg,
-            style,
             dram: self.dram.clone(),
             backend,
             cores,
-            mem_out_offsets,
         })
     }
 
@@ -622,7 +598,7 @@ impl Ssd {
         // core with instant data: UDP lanes walk firmware-filled
         // scratchpads with explicit pointers, so this style's instruction
         // stream is the right input to the lane model.
-        let program = req.kernel.program(AccessStyle::PingPong);
+        let program = req.kernel.program(self.cfg.engine.style());
         let mut env = SyntheticEnv::new(8, self.cfg.geometry.page_bytes as usize);
         let mut inputs_total = 0u64;
         let streams: Vec<Vec<u8>> = req
@@ -637,19 +613,14 @@ impl Ssd {
         // Interleave streams into banks, chunked on object boundaries
         // (UDP's firmware copies DRAM data into the 256 KiB lane
         // scratchpad the same way).
-        let core_cfg = assasin_core::CoreConfig::udp();
+        let core_cfg = CoreConfig::udp();
         let bank_bytes = core_cfg.scratchpad_bytes as usize / 2;
         env.set_interleaved_banks(&streams, bank_bytes, req.kernel.granularity() as usize);
-        let ref_cfg = assasin_core::CoreConfig {
+        let ref_cfg = CoreConfig {
             staging_bytes: core_cfg.scratchpad_bytes,
-            ..assasin_core::CoreConfig::assasin_sp()
+            ..CoreConfig::assasin_sp()
         };
-        let mut core = Core::new(0, ref_cfg, program, None);
-        for (off, bytes) in req.kernel.scratchpad_image() {
-            core.scratchpad_mut()
-                .write_bytes(*off as u64, bytes)
-                .map_err(|e| SsdError::BadRequest(format!("scratchpad image: {e}")))?;
-        }
+        let mut core = kernel_core(0, ref_cfg, program, None, req)?;
         core.run_to_halt(&mut env);
         if let CoreState::Wedged(m) = core.state() {
             return Err(SsdError::CoreWedged(m.clone()));
@@ -665,8 +636,7 @@ impl Ssd {
         let traffic_per_byte = 2.0 + profile.out_per_in;
         let dram_bps = self.cfg.dram_bw / traffic_per_byte;
         let throughput = compute_bps.min(dram_bps).min(self.cfg.flash_bw());
-        let elapsed =
-            SimDur::from_secs_f64(inputs_total as f64 / throughput) + self.cfg.pcie_latency;
+        let elapsed = SimDur::from_secs_f64(inputs_total as f64 / throughput) + PCIE_LATENCY;
 
         let channels = self.cfg.geometry.channels as u64;
         Ok(ScompResult {
@@ -685,92 +655,76 @@ impl Ssd {
     }
 }
 
+/// A core for `req`'s kernel with the kernel's function state preloaded
+/// into its scratchpad.
+fn kernel_core(
+    id: usize,
+    cfg: CoreConfig,
+    program: Program,
+    dram: Option<SharedDram>,
+    req: &ScompRequest,
+) -> Result<Core, SsdError> {
+    let mut core = Core::new(id, cfg, program, dram);
+    core.preload(req.kernel.scratchpad_image())
+        .map_err(|e| SsdError::BadRequest(format!("scratchpad image: {e}")))?;
+    Ok(core)
+}
+
 /// Stages every planned page into per-core DRAM windows (the Baseline data
 /// path): flash read, per-page availability time. Round-robins across
 /// cores and streams so channels serve everyone fairly. The DRAM bus cost
 /// of staging is charged when the core's cache fills from the window
 /// (`fill_bytes_factor = 2` in the hierarchy: staging write + demand
 /// read), which also gives the correct consumption-paced backpressure.
-#[allow(clippy::too_many_arguments)]
+/// Each core is then launched on its window.
 fn stage_windows(
     cores: &mut [Core],
     backend: &mut Backend<'_>,
     plans: &mut [Vec<StreamPlan>],
     req: &ScompRequest,
     page_bytes: u32,
-    firmware_poll: assasin_sim::SimDur,
+    firmware_poll: SimDur,
     media_retries: u32,
-    media_backoff: assasin_sim::SimDur,
-    out_offsets: &mut [u64],
 ) -> Result<(), SsdError> {
     let n_in = req.input_streams.len();
-    // Window layout per core: n_in stream regions + output area.
-    for (id, core) in cores.iter_mut().enumerate() {
-        let in_len: u64 = plans[id].first().map(|p| p.remaining_bytes()).unwrap_or(0);
-        let stride = in_len.next_multiple_of(64);
-        let out_offset = (stride * n_in as u64).next_multiple_of(page_bytes as u64);
-        let out_space = ((in_len as f64 * n_in as f64 * req.kernel.max_out_per_in()).ceil() as u64)
-            .next_multiple_of(64)
-            + 64;
-        out_offsets[id] = out_offset;
-        core.set_window(DramWindow::new(
-            (out_offset + out_space) as usize,
-            page_bytes,
-        ));
-        let (r_len, r_stride, r_out) = assasin_kernels::LaunchInfo::regs();
-        core.set_reg(r_len, in_len as u32);
-        core.set_reg(r_stride, stride as u32);
-        core.set_reg(r_out, out_offset as u32);
-    }
+    // One window per core: n_in stream regions plus the output area.
+    let mut windows: Vec<DramWindow> = plans
+        .iter()
+        .map(|streams| {
+            let in_len = streams.first().map_or(0, |p| p.remaining_bytes());
+            let out_bytes = (in_len as f64 * n_in as f64 * req.kernel.max_out_per_in()).ceil();
+            DramWindow::new(n_in, in_len, out_bytes as u64, page_bytes)
+        })
+        .collect();
     // Drain plans into the windows, page by page, round-robin.
-    let dram_latency = backend.dram.borrow().latency();
     let mut queues: Vec<(usize, usize, u64, StreamPlan)> = Vec::new();
     for (id, streams) in plans.iter_mut().enumerate() {
-        let in_len: u64 = streams.first().map(|p| p.remaining_bytes()).unwrap_or(0);
-        let stride = in_len.next_multiple_of(64);
         for (sid, plan) in streams.iter_mut().enumerate() {
-            let pages = std::mem::take(plan);
-            queues.push((id, sid, stride, pages));
+            queues.push((id, sid, 0, std::mem::take(plan)));
         }
     }
-    let mut cursors = vec![0u64; queues.len()];
+    let issue = SimTime::ZERO + firmware_poll;
     let mut progressed = true;
     while progressed {
         progressed = false;
-        for (qi, (id, sid, stride, pages)) in queues.iter_mut().enumerate() {
+        for (id, sid, pos, pages) in queues.iter_mut() {
             let Some(plan) = pages.pop() else {
                 continue;
             };
             progressed = true;
-            let issue = SimTime::ZERO + firmware_poll;
-            let (data, flash_arrival) = crate::backend::read_page_retrying(
-                backend.flash,
-                plan.addr,
-                issue,
-                media_retries,
-                media_backoff,
-            )?;
+            let (data, flash_arrival) =
+                crate::backend::read_page_retrying(backend.flash, plan.addr, issue, media_retries)?;
             let payload = data.slice(plan.offset as usize..(plan.offset + plan.len) as usize);
             backend.bytes_streamed += plan.len as u64;
             backend.per_core_streamed[*id] += plan.len as u64;
-            let offset = *sid as u64 * *stride + cursors[qi];
-            cursors[qi] += plan.len as u64;
-            engine_window(cores[*id].window_mut(), *id, "mem staging")?.stage(
-                offset,
-                &payload,
-                flash_arrival + dram_latency,
-            );
+            windows[*id].stage(*sid, *pos, &payload, flash_arrival + DRAM_LATENCY);
+            *pos += plan.len as u64;
         }
     }
+    for (core, window) in cores.iter_mut().zip(windows) {
+        core.launch_mem(window).map_err(SsdError::Invariant)?;
+    }
     Ok(())
-}
-
-/// An engine's DRAM window, or a typed invariant error if it is not
-/// attached. Both the staging loop and Mem-style finalization used to
-/// `.expect()` here, so a request hitting a detached window aborted the
-/// whole process; a long-lived server needs the request to fail instead.
-fn engine_window<W>(window: Option<W>, id: usize, what: &str) -> Result<W, SsdError> {
-    window.ok_or_else(|| SsdError::Invariant(format!("{what}: engine {id} has no DRAM window")))
 }
 
 /// Formats the `SsdError::Stuck` diagnostic: per-core execution state plus
@@ -808,11 +762,9 @@ fn stuck_report(rounds: u64, deadline: SimTime, cores: &[Core], backend: &Backen
 /// ([`Session::run_epochs`]) and finalization ([`Session::finalize`]).
 struct Session<'s> {
     cfg: SsdConfig,
-    style: AccessStyle,
     dram: SharedDram,
     backend: Backend<'s>,
     cores: Vec<Core>,
-    mem_out_offsets: Vec<u64>,
 }
 
 impl Session<'_> {
@@ -831,7 +783,7 @@ impl Session<'_> {
     ///
     /// Returns `(rounds, epochs_skipped)` for [`ScompResult`].
     fn run_epochs<const SKIP_IDLE: bool>(&mut self) -> Result<(u64, u64), SsdError> {
-        let epoch = self.cfg.epoch;
+        let epoch = EPOCH;
         let mut deadline = SimTime::ZERO + epoch;
         let mut rounds: u64 = 0;
         let mut epochs_skipped: u64 = 0;
@@ -882,58 +834,32 @@ impl Session<'_> {
     fn finalize(self, (cosim_rounds, epochs_skipped): (u64, u64)) -> Result<ScompResult, SsdError> {
         let Session {
             cfg,
-            style,
             dram,
             mut backend,
             mut cores,
-            mem_out_offsets,
-            ..
         } = self;
         let n_cores = cores.len();
         let mut elapsed_end = SimTime::ZERO;
         let mut reports = Vec::with_capacity(n_cores);
         for (id, core) in cores.iter_mut().enumerate() {
             let halt_time = core.local_time();
-            match style {
-                AccessStyle::Stream => {
-                    if let Some(tail) = core
-                        .sbuf_mut()
-                        .flush(0)
-                        .map_err(|e| SsdError::CoreWedged(format!("flush: {e}")))?
-                    {
-                        backend.drain_page(id, 0, tail, halt_time);
+            core.flush_output(&mut backend)
+                .map_err(SsdError::CoreWedged)?;
+            if let DataPath::Mem { .. } = core.data_path() {
+                // Results sit in the DRAM window; move them to the
+                // request's output target. The output cursor is
+                // program-observable state: a buggy kernel scribbling it
+                // must fail the request, not abort the process.
+                let data = core
+                    .mem_output()
+                    .map_err(|m| SsdError::Invariant(format!("mem finalize: engine {id} {m}")))?;
+                if !data.is_empty() {
+                    if let Sink::Flash(_) = backend.sink {
+                        // DRAM read of the results, then flash writes.
+                        dram.borrow_mut().post(halt_time, data.len() as u64);
                     }
+                    backend.drain(id, data, halt_time);
                 }
-                AccessStyle::Mem => {
-                    // Results sit in the DRAM window; move them to the
-                    // request's output target.
-                    let cursor = core.reg(Reg::S5) as u64;
-                    let base = 0x1000_0000 + mem_out_offsets[id];
-                    let out_len = cursor.saturating_sub(base);
-                    if out_len > 0 {
-                        // Both the window's presence and the output
-                        // cursor are program-observable state; a buggy
-                        // kernel scribbling S5 must fail the request,
-                        // not abort the process.
-                        let window = engine_window(core.window(), id, "mem finalize")?;
-                        let end = mem_out_offsets[id].saturating_add(out_len);
-                        if end > window.size() as u64 {
-                            return Err(SsdError::Invariant(format!(
-                                "mem finalize: engine {id} output cursor {cursor:#x} places \
-                                 results at {:#x}..{end:#x}, past its {}-byte DRAM window",
-                                mem_out_offsets[id],
-                                window.size(),
-                            )));
-                        }
-                        let data = window.bytes(mem_out_offsets[id], out_len as usize);
-                        if let Sink::Flash(_) = backend.sink {
-                            // DRAM read of the results, then flash writes.
-                            dram.borrow_mut().post(halt_time, out_len);
-                        }
-                        backend.drain(id, data, halt_time);
-                    }
-                }
-                AccessStyle::PingPong => {}
             }
             // Write path: pad and flush the engine's trailing partial page;
             // the request completes when programs are durable.
@@ -1046,51 +972,50 @@ mod tests {
         }
     }
 
-    // Regression tests for the three former `.expect()` panic sites on
-    // the scomp request path (mem staging / mem finalize / write-path
-    // state): each now yields a typed `SsdError::Invariant` so a
-    // long-lived server fails the request instead of aborting.
-
-    #[test]
-    fn detached_window_is_a_typed_error_not_a_panic() {
-        match engine_window(None::<&DramWindow>, 3, "mem staging") {
-            Err(SsdError::Invariant(m)) => {
-                assert!(m.contains("engine 3") && m.contains("mem staging"), "{m}")
-            }
-            other => panic!("expected Invariant, got {other:?}"),
-        }
-        let w = DramWindow::new(64, 32);
-        assert!(engine_window(Some(&w), 0, "mem finalize").is_ok());
+    /// Runs a one-instruction-plus-halt kernel on a Baseline device and
+    /// returns its error; a well-behaved request on the same device must
+    /// still complete afterwards (the device degrades instead of dying).
+    fn bad_kernel_error(emit: fn(&mut assasin_isa::Assembler)) -> SsdError {
+        let mut ssd = make_ssd(EngineKind::Baseline);
+        let data: Vec<u8> = vec![7u8; 64 * 1024];
+        let lpas = ssd.load_object(0, &data).unwrap();
+        let bad = KernelBundle::new("bad", 64, 1.0, move |_| {
+            let mut asm = assasin_isa::Assembler::with_name("bad");
+            emit(&mut asm);
+            asm.halt();
+            asm.finish().expect("bad kernel assembles")
+        });
+        let bytes = vec![data.len() as u64];
+        let req = ScompRequest::new(bad, vec![lpas.clone()]).with_stream_bytes(bytes.clone());
+        let err = ssd
+            .scomp(&req)
+            .expect_err("bad kernel must fail its request");
+        let req = ScompRequest::new(scan_bundle(), vec![lpas]).with_stream_bytes(bytes);
+        let r = ssd.scomp(&req).expect("device survives a bad request");
+        assert_eq!(r.bytes_in, data.len() as u64);
+        err
     }
 
     #[test]
     fn hostile_output_cursor_fails_the_request_not_the_process() {
-        use assasin_isa::Assembler;
         // A Mem-style kernel that scribbles the S5 output cursor far past
         // its DRAM window before halting. Extraction used to slice the
         // window with the program-controlled length and panic; it must
-        // now surface a typed error and leave the device usable.
-        let mut ssd = make_ssd(EngineKind::Baseline);
-        let data: Vec<u8> = vec![7u8; 64 * 1024];
-        let lpas = ssd.load_object(0, &data).unwrap();
-        let hostile = KernelBundle::new("hostile-cursor", 64, 1.0, |_| {
-            let mut asm = Assembler::with_name("hostile-cursor");
-            asm.li(Reg::S5, 0x7FFF_0000);
-            asm.halt();
-            asm.finish().expect("hostile kernel assembles")
-        });
-        let req = ScompRequest::new(hostile, vec![lpas.clone()])
-            .with_stream_bytes(vec![data.len() as u64]);
-        match ssd.scomp(&req) {
-            Err(SsdError::Invariant(m)) => assert!(m.contains("output cursor"), "{m}"),
+        // now surface a typed error.
+        match bad_kernel_error(|asm| asm.li(assasin_isa::Reg::S5, 0x7FFF_0000)) {
+            SsdError::Invariant(m) => assert!(m.contains("output cursor"), "{m}"),
             other => panic!("expected Invariant, got {other:?}"),
         }
-        // The device degrades instead of dying: a well-behaved request
-        // on the same device still completes.
-        let req =
-            ScompRequest::new(scan_bundle(), vec![lpas]).with_stream_bytes(vec![data.len() as u64]);
-        let r = ssd.scomp(&req).expect("device survives a hostile request");
-        assert_eq!(r.bytes_in, data.len() as u64);
+    }
+
+    #[test]
+    fn stream_load_on_a_baseline_engine_fails_the_request() {
+        // A Baseline core has no streambuffer: its StreamLoad must wedge
+        // the core rather than read an empty buffer and halt as if done.
+        match bad_kernel_error(|asm| asm.stream_load(assasin_isa::Reg::A0, 0, 4)) {
+            SsdError::CoreWedged(m) => assert!(m.contains("streambuffer"), "{m}"),
+            other => panic!("expected CoreWedged, got {other:?}"),
+        }
     }
 
     #[test]

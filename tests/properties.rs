@@ -1,6 +1,6 @@
 //! Property-based tests over the reproduction's core invariants.
 
-use assasin::core::{Core, CoreConfig, CoreState, StreamEnv, SyntheticEnv};
+use assasin::core::{Core, CoreConfig, CoreState, SyntheticEnv};
 use assasin::ftl::{Ftl, Lpa};
 use assasin::isa::{decode, encode, AluOp, BranchCond, Instr, Reg};
 use assasin::kernels::query::{
@@ -248,9 +248,7 @@ fn run_stream_kernel(program: assasin::isa::Program, input: &[u8]) -> (Core, Vec
     let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
     core.run_to_halt(&mut env);
     assert_eq!(core.state(), &CoreState::Halted);
-    if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-        env.drain_page(0, 0, tail, SimTime::ZERO);
-    }
+    core.flush_output(&mut env).unwrap();
     let out = env.output(0).to_vec();
     (core, out)
 }
@@ -408,14 +406,10 @@ proptest! {
             nn::program(AccessStyle::Stream),
             None,
         );
-        for (off, bytes) in model.scratchpad_image() {
-            core.scratchpad_mut().write_bytes(off as u64, &bytes).unwrap();
-        }
+        core.preload(&model.scratchpad_image()).unwrap();
         core.run_to_halt(&mut env);
         prop_assert_eq!(core.state(), &CoreState::Halted);
-        if let Some(tail) = core.sbuf_mut().flush(0).unwrap() {
-            env.drain_page(0, 0, tail, SimTime::ZERO);
-        }
+        core.flush_output(&mut env).unwrap();
         prop_assert_eq!(env.output(0), &expect[..]);
     }
 
