@@ -6,12 +6,10 @@ use std::sync::Arc;
 
 use assasin_ftl::Lpa;
 use assasin_sim::{HostLink, SimDur, SimTime};
-use assasin_ssd::{KernelBundle, ScompRequest, SsdImage};
+use assasin_ssd::{KernelBundle, ScompRequest, Ssd, SsdImage};
 
 use crate::config::ArrayConfig;
-use crate::engine::{
-    merge_completions, Completion, DeviceCmd, DeviceReply, DeviceSource, Engine, ExecError,
-};
+use crate::engine::{merge_completions, run_batch, Completion, DeviceCmd, DeviceReply, ExecError};
 use crate::error::ArrayError;
 use crate::placement::{ArrayPlacement, ChunkLoc, StoredObject, StripeLoc};
 use crate::recover;
@@ -184,7 +182,9 @@ struct Fetch {
 /// contract.
 pub struct SsdArray {
     cfg: ArrayConfig,
-    engine: Engine,
+    /// One slot per device; `None` while a device is poisoned by a
+    /// panic caught in one of its commands, until a rebuild replaces it.
+    devices: Vec<Option<Ssd>>,
     link: HostLink,
     catalog: BTreeMap<u64, StoredObject>,
     next_lpa: Vec<u64>,
@@ -201,8 +201,10 @@ impl SsdArray {
     /// configuration.
     pub fn new(cfg: ArrayConfig) -> Result<SsdArray, ArrayError> {
         cfg.validate()?;
-        let cfgs = Arc::new((0..cfg.devices).map(|d| cfg.device_cfg(d)).collect());
-        Ok(Self::build(cfg, DeviceSource { cfgs, image: None }, 0))
+        let devices = (0..cfg.devices)
+            .map(|d| Some(Ssd::new(cfg.device_cfg(d))))
+            .collect();
+        Ok(Self::build(cfg, devices, 0))
     }
 
     /// Builds an array whose devices are all forked from one
@@ -217,7 +219,7 @@ impl SsdArray {
     /// preserve the media identity the image was built under).
     pub fn from_image(
         cfg: ArrayConfig,
-        image: Arc<SsdImage>,
+        image: &SsdImage,
         first_free_lpa: u64,
     ) -> Result<SsdArray, ArrayError> {
         cfg.validate()?;
@@ -228,22 +230,16 @@ impl SsdArray {
                     .into(),
             ));
         }
-        let cfgs = Arc::new(vec![cfg.device; cfg.devices]);
-        Ok(Self::build(
-            cfg,
-            DeviceSource {
-                cfgs,
-                image: Some(image),
-            },
-            first_free_lpa,
-        ))
+        let devices = (0..cfg.devices)
+            .map(|_| Some(image.fork(cfg.device)))
+            .collect();
+        Ok(Self::build(cfg, devices, first_free_lpa))
     }
 
-    fn build(cfg: ArrayConfig, source: DeviceSource, first_free_lpa: u64) -> SsdArray {
-        let engine = Engine::new(cfg.devices, source, cfg.exec);
+    fn build(cfg: ArrayConfig, devices: Vec<Option<Ssd>>, first_free_lpa: u64) -> SsdArray {
         let link = HostLink::new(cfg.devices, cfg.root_bw, cfg.root_latency);
         SsdArray {
-            engine,
+            devices,
             link,
             catalog: BTreeMap::new(),
             next_lpa: vec![first_free_lpa; cfg.devices],
@@ -264,17 +260,6 @@ impl SsdArray {
     /// Number of devices.
     pub fn devices(&self) -> usize {
         self.cfg.devices
-    }
-
-    /// Executors the configuration asked for (calling thread included).
-    pub fn requested_workers(&self) -> usize {
-        self.engine.requested_workers()
-    }
-
-    /// Executors actually granted by the thread-budget lease (`1` means
-    /// the engine runs serially).
-    pub fn effective_workers(&self) -> usize {
-        self.engine.effective_workers()
     }
 
     /// Cumulative array statistics.
@@ -331,7 +316,7 @@ impl SsdArray {
 
     fn run_batch(&mut self, cmds: Vec<(usize, DeviceCmd)>) -> Result<Vec<DeviceReply>, ArrayError> {
         let devices: Vec<usize> = cmds.iter().map(|(d, _)| *d).collect();
-        let replies = self.engine.run_batch(cmds);
+        let replies = run_batch(&mut self.devices, &self.cfg, cmds);
         replies
             .into_iter()
             .zip(devices)
@@ -849,10 +834,16 @@ impl SsdArray {
     ///
     /// # Errors
     ///
-    /// Fails if the device is not failed, if any chunk is unrecoverable
-    /// ([`ArrayError::DataLoss`]), or on device errors.
+    /// Fails with [`ArrayError::BadConfig`] if `device` is out of range
+    /// or not failed, with [`ArrayError::DataLoss`] if any chunk is
+    /// unrecoverable, or on device errors.
     pub fn rebuild_device(&mut self, device: usize) -> Result<RebuildReport, ArrayError> {
-        assert!(device < self.cfg.devices, "device {device} out of range");
+        if device >= self.cfg.devices {
+            return Err(ArrayError::BadConfig(format!(
+                "device {device} out of range for a {}-device array",
+                self.cfg.devices
+            )));
+        }
         if !self.failed[device] {
             return Err(ArrayError::BadConfig(format!(
                 "device {device} is not failed; nothing to rebuild"

@@ -13,14 +13,16 @@ pub enum ArrayExec {
     /// All devices on the calling thread, in device order. The reference
     /// arm of the determinism property test.
     Serial,
-    /// Up to `workers` executors: the calling thread plus extra worker
-    /// threads leased from the process-wide budget
-    /// (`assasin_parallel::claim_threads`). If the budget is exhausted
-    /// the array degrades toward serial — results are byte-identical
-    /// either way.
+    /// Each batch's devices on `assasin_parallel::par_map` capped at
+    /// `workers` threads (and at the calling thread's own cap, see
+    /// `assasin_parallel::with_max_threads`): the calling thread plus
+    /// extra threads drawn
+    /// from the process-wide budget for the batch. If the budget is
+    /// exhausted the batch degrades toward serial — results are
+    /// byte-identical either way.
     Threaded {
-        /// Requested executor count (calling thread included). Clamped
-        /// to the device count; the lease may grant fewer.
+        /// Thread cap (calling thread included). At most one thread per
+        /// device with commands in the batch is used.
         workers: usize,
     },
 }

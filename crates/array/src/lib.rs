@@ -8,9 +8,8 @@
 //! device model:
 //!
 //! * [`SsdArray`] owns N devices, either fresh or all forked from one
-//!   preconditioned [`SsdImage`](assasin_ssd::SsdImage) (the PR 6
-//!   clone-on-write machinery, so N-device preconditioning costs one
-//!   load).
+//!   preconditioned [`SsdImage`](assasin_ssd::SsdImage) (copy-on-write,
+//!   so N-device preconditioning costs one load).
 //! * [`ArrayPlacement`] is the host-side placement/erasure policy:
 //!   striping, weighted (skewed) striping, K-way replication, and
 //!   RAID4/RAID6 parity promoted from the device-local kernels
@@ -22,19 +21,19 @@
 //!
 //! # Determinism contract
 //!
-//! With [`ArrayExec::Threaded`], each device advances on its own worker
-//! thread between host-visible sync points (one array operation is one
-//! sync interval). The device type is `!Send`, so workers *own* their
-//! devices — built on-thread from a shared config/image — and only
-//! `Send` command/reply values cross threads. Every device command
-//! starts from a quiesced device (t = 0) and reports its own elapsed
-//! time; all cross-device bookkeeping happens on the host afterwards:
-//! per-device clocks accumulate elapsed times in issue order,
-//! completions are merged in `(completion_time, device_id, seq)` order,
-//! and the shared root is charged FIFO in merged order. Nothing
-//! observable depends on thread scheduling, so a threaded 8-device run
-//! is byte-identical to the serial run — enforced by a property test,
-//! not by hope.
+//! The array owns its devices and advances them one batch of device
+//! commands at a time; each batch is a host-visible sync point. With
+//! [`ArrayExec::Threaded`] the batch's devices run on
+//! `assasin_parallel::par_map`, one device's commands in issue order on
+//! one thread; with [`ArrayExec::Serial`] the same map runs under a cap
+//! of one thread. Every device command starts from a quiesced device
+//! (t = 0) and reports its own elapsed time; all cross-device
+//! bookkeeping happens on the host afterwards: per-device clocks
+//! accumulate elapsed times in issue order, completions are merged in
+//! `(completion_time, device_id, seq)` order, and the shared root is
+//! charged FIFO in merged order. Nothing observable depends on thread
+//! scheduling, so a threaded 8-device run is byte-identical to the
+//! serial run — enforced by a property test, not by hope.
 
 mod array;
 mod config;

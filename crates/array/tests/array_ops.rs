@@ -3,8 +3,6 @@
 //! against host-side goldens (the kernels crate's reference encoders
 //! and `aes::golden`).
 
-use std::sync::Arc;
-
 use assasin_array::{ArrayConfig, ArrayError, ArrayExec, ArrayPlacement, SsdArray};
 use assasin_core::EngineKind;
 use assasin_kernels::aes;
@@ -275,10 +273,10 @@ fn from_image_forks_share_one_preconditioned_load() {
     let data = pattern(8192 * 6, 11);
     let mut seed = Ssd::new(device);
     seed.load_object(0, &data).expect("precondition");
-    let image = Arc::new(seed.into_image());
+    let image = seed.into_image();
     let mut a = SsdArray::from_image(
         cfg(3, ArrayPlacement::Striped).with_exec(ArrayExec::Serial),
-        image,
+        &image,
         1024,
     )
     .expect("array from image");
@@ -290,6 +288,18 @@ fn from_image_forks_share_one_preconditioned_load() {
     a.store_object(2, &pattern(8192, 12))
         .expect("store past image");
     assert_eq!(a.read_object(2).expect("read").data, pattern(8192, 12));
+}
+
+#[test]
+fn rebuild_of_an_out_of_range_device_is_a_typed_error() {
+    let mut a = array(3, ArrayPlacement::Replicated { copies: 2 });
+    let data = pattern(8192 * 2, 15);
+    a.store_object(1, &data).expect("store");
+    assert!(matches!(
+        a.rebuild_device(3).unwrap_err(),
+        ArrayError::BadConfig(_)
+    ));
+    assert_eq!(a.read_object(1).expect("read").data, data);
 }
 
 #[test]

@@ -14,6 +14,9 @@
 //! initializes: the host box may have a single core (budget 0), and the
 //! threaded arm must actually cross threads to test anything.
 
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+
 use assasin_array::{ArrayConfig, ArrayExec, ArrayPlacement, SsdArray};
 use assasin_core::EngineKind;
 use assasin_flash::FaultConfig;
@@ -118,10 +121,9 @@ proptest! {
     }
 }
 
-/// The 8-device shape the scaling experiment uses, with real worker
-/// threads confirmed live.
+/// The 8-device shape the scaling experiment uses.
 #[test]
-fn eight_device_raid6_threaded_matches_serial_with_live_workers() {
+fn eight_device_raid6_threaded_matches_serial() {
     init_threads();
     let seeds: Vec<u64> = (0..8).map(|d| 17 + d * 13).collect();
     let serial = run_script(ArrayExec::Serial, 8, 4, 110_000, 99, &seeds);
@@ -137,25 +139,62 @@ fn eight_device_raid6_threaded_matches_serial_with_live_workers() {
         serial, threaded,
         "8-device threaded run diverged from serial"
     );
+}
 
-    // Separately, confirm the threaded engine really crossed threads:
-    // with the budget pinned at 8 the lease grants extra workers (other
-    // tests may hold a few transiently, hence the retry loop).
-    let mut spawned = 0;
-    for _ in 0..50 {
-        let device = SsdConfig::small_for_tests(EngineKind::AssasinSb);
-        let cfg = ArrayConfig::new(8, ArrayPlacement::Striped, device)
-            .with_exec(ArrayExec::Threaded { workers: 8 });
-        let a = SsdArray::new(cfg).expect("valid config");
-        spawned = spawned.max(a.effective_workers());
-        if spawned >= 2 {
-            break;
-        }
-    }
+/// Runs one `scomp_object` on an 8-device threaded array and returns the
+/// threads its devices ran on: the kernel builder runs on whichever
+/// thread executes a device's `scomp`, so it records where each device
+/// ran.
+fn threaded_scomp_threads() -> HashSet<std::thread::ThreadId> {
+    let data = pattern(8 * 8192, 3);
+    let device = SsdConfig::small_for_tests(EngineKind::AssasinSb);
+    let cfg = ArrayConfig::new(8, ArrayPlacement::Striped, device)
+        .with_chunk_bytes(8192)
+        .with_exec(ArrayExec::Threaded { workers: 8 });
+    let mut a = SsdArray::new(cfg).expect("valid config");
+    a.store_object(1, &data).expect("store");
+    let ran_on = Arc::new(Mutex::new(HashSet::new()));
+    let record = Arc::clone(&ran_on);
+    a.scomp_object(1, || {
+        let record = Arc::clone(&record);
+        KernelBundle::new("scan", scan::TUPLE_BYTES, 0.0, move |style| {
+            record
+                .lock()
+                .expect("recorder lock")
+                .insert(std::thread::current().id());
+            scan::program(style)
+        })
+    })
+    .expect("scomp");
+    let ran_on = ran_on.lock().expect("recorder lock").clone();
+    ran_on
+}
+
+/// `ArrayExec::Threaded` really crosses threads. Other tests draw on the
+/// same thread budget concurrently, hence the retries.
+#[test]
+fn threaded_array_runs_devices_off_the_calling_thread() {
+    init_threads();
+    let caller = std::thread::current().id();
+    let crossed = (0..50).any(|_| threaded_scomp_threads().iter().any(|&t| t != caller));
     assert!(
-        spawned >= 2,
-        "threaded arrays never obtained a worker thread from the budget"
+        crossed,
+        "every device of a threaded array ran on the calling thread"
     );
+}
+
+/// A threaded array never raises the cap its caller runs under: inside
+/// `with_max_threads(1, ..)` every device runs on the calling thread.
+/// The calling thread can finish a whole batch before a spawned thread
+/// starts, so one run proves little; hence the repeats.
+#[test]
+fn threaded_array_keeps_the_callers_serial_cap() {
+    init_threads();
+    let caller = std::thread::current().id();
+    for _ in 0..20 {
+        let ran_on = assasin_parallel::with_max_threads(1, threaded_scomp_threads);
+        assert_eq!(ran_on, HashSet::from([caller]));
+    }
 }
 
 /// The 8-device striped store, read and `scomp_object` leg at a fixed

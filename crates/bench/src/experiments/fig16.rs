@@ -72,7 +72,6 @@ pub fn run(scale: &Scale) -> Fig16Report {
             0,
             CoreConfig::assasin_sb(),
             scan::program(AccessStyle::Stream),
-            None,
         );
         core.run_to_halt(&mut env);
         sample.len() as f64 / core.cycles() as f64 // bytes/cycle == GB/s at 1 GHz

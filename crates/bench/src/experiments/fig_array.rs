@@ -302,9 +302,9 @@ pub fn run_with(scale: &Scale, exec: ArrayExec) -> ArrayReport {
     }
 }
 
-/// Runs the array experiment threaded (one worker per device, degrading
-/// to serial under a 1-thread budget — the report is identical either
-/// way).
+/// Runs the array experiment threaded (each batch's devices on `par_map`
+/// under a cap of 8 threads, degrading to serial under a 1-thread budget
+/// — the report is identical either way).
 pub fn run(scale: &Scale) -> ArrayReport {
     run_with(scale, ArrayExec::Threaded { workers: 8 })
 }

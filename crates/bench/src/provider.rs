@@ -78,20 +78,8 @@ pub struct SsdScanProvider {
 }
 
 impl SsdScanProvider {
-    /// Builds an SSD with `engine` compute and loads the TPC-H dataset
-    /// (CSV form, as SparkSQL's datasource reads it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSD load failures.
-    pub fn new(engine: EngineKind, gen: &TpchGen) -> Result<Self, SsdError> {
-        let mut ssd = ssd_with(engine, 8, false, false);
-        let tables = load_tables(&mut ssd, gen)?;
-        Ok(SsdScanProvider { ssd, tables })
-    }
-
-    /// Forks a provider off a preloaded dataset instead of re-generating
-    /// and re-loading it (byte-identical results to [`SsdScanProvider::new`]).
+    /// Forks a provider with `engine` compute off the preloaded TPC-H
+    /// dataset (CSV form, as SparkSQL's datasource reads it).
     pub fn from_tables(engine: EngineKind, adjusted: bool, loaded: &LoadedTables) -> Self {
         SsdScanProvider {
             ssd: loaded.fork(engine, adjusted),
@@ -167,19 +155,7 @@ pub struct CpuOnlyProvider {
 }
 
 impl CpuOnlyProvider {
-    /// Loads the dataset onto a plain SSD.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSD load failures.
-    pub fn new(gen: &TpchGen) -> Result<Self, SsdError> {
-        let mut ssd = ssd_with(EngineKind::Baseline, 8, false, false);
-        let tables = load_tables(&mut ssd, gen)?;
-        Ok(CpuOnlyProvider { ssd, tables })
-    }
-
-    /// Forks a provider off a preloaded dataset (byte-identical results to
-    /// [`CpuOnlyProvider::new`]).
+    /// Forks a plain-SSD provider off the preloaded dataset.
     pub fn from_tables(loaded: &LoadedTables) -> Self {
         CpuOnlyProvider {
             ssd: loaded.fork(EngineKind::Baseline, false),
@@ -236,7 +212,8 @@ mod tests {
         for id in TableId::ALL {
             host.add_table(g.table(id));
         }
-        let mut offl = SsdScanProvider::new(EngineKind::AssasinSb, &g).expect("dataset fits");
+        let loaded = LoadedTables::load(&g).expect("dataset fits");
+        let mut offl = SsdScanProvider::from_tables(EngineKind::AssasinSb, false, &loaded);
         let preds = vec![Pred::range(10, 365, 900), Pred::range(4, 1, 30)];
         let project = vec![0u32, 5, 10];
         let a = host.scan(TableId::Lineitem, &preds, &project);
@@ -254,8 +231,8 @@ mod tests {
 
     #[test]
     fn cpu_only_provider_pays_parse_costs() {
-        let g = gen();
-        let mut cpu = CpuOnlyProvider::new(&g).expect("dataset fits");
+        let loaded = LoadedTables::load(&gen()).expect("dataset fits");
+        let mut cpu = CpuOnlyProvider::from_tables(&loaded);
         let out = cpu.scan(TableId::Orders, &[], &[0, 1]);
         assert!(out.host_ops > out.relation.rows() as f64 * 10.0);
         assert!(out.device_time > SimDur::ZERO);
@@ -275,9 +252,10 @@ mod tests {
                 .relation
         };
         let r_host = run(&mut host);
-        let mut cpu = CpuOnlyProvider::new(&g).expect("dataset fits");
+        let loaded = LoadedTables::load(&g).expect("dataset fits");
+        let mut cpu = CpuOnlyProvider::from_tables(&loaded);
         let r_cpu = run(&mut cpu);
-        let mut sb = SsdScanProvider::new(EngineKind::AssasinSb, &g).expect("dataset fits");
+        let mut sb = SsdScanProvider::from_tables(EngineKind::AssasinSb, false, &loaded);
         let r_sb = run(&mut sb);
         assert_eq!(r_host, r_cpu);
         assert_eq!(r_host, r_sb);
@@ -289,7 +267,10 @@ mod tests {
         let loaded = LoadedTables::load(&g).expect("dataset fits");
         let preds = vec![Pred::range(10, 365, 900)];
         let project = vec![0u32, 5, 10];
-        let mut fresh = SsdScanProvider::new(EngineKind::AssasinSb, &g).expect("dataset fits");
+        // Reference: a device of the provider's engine loaded directly.
+        let mut ssd = ssd_with(EngineKind::AssasinSb, 8, false, false);
+        let tables = load_tables(&mut ssd, &g).expect("dataset fits");
+        let mut fresh = SsdScanProvider { ssd, tables };
         let a = fresh.scan(TableId::Lineitem, &preds, &project);
         let mut forked = SsdScanProvider::from_tables(EngineKind::AssasinSb, false, &loaded);
         let b = forked.scan(TableId::Lineitem, &preds, &project);

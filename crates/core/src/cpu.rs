@@ -4,7 +4,7 @@ use crate::regions::{DramWindow, PingPong};
 use crate::{CoreConfig, EngineKind, StreamEnv};
 use assasin_isa::{csr, layout, AccessStyle, AluOp, BranchCond, Instr, LaunchInfo, Program};
 use assasin_mem::{
-    AccessKind, MemError, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, SharedDram, StreamBuffer,
+    AccessKind, MemError, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, StreamBuffer,
 };
 use assasin_sim::stats::CycleBreakdown;
 use assasin_sim::SimTime;
@@ -275,7 +275,8 @@ fn predecode(program: &Program, cfg: &CoreConfig) -> Box<[Slot]> {
 #[derive(Debug)]
 pub enum DataPath {
     /// Baseline, Prefetch: a DRAM window the firmware stages pages into,
-    /// read through the cache hierarchy.
+    /// read through the cache hierarchy. The DRAM itself belongs to the
+    /// device; the environment lends it per access ([`StreamEnv::dram`]).
     Mem {
         /// The L1/L2 (and prefetcher) in front of DRAM.
         hierarchy: MemHierarchy,
@@ -329,27 +330,28 @@ pub struct Core {
 }
 
 impl Core {
-    /// Builds a core. `dram` backs the cache hierarchy of the Mem data
-    /// path (Baseline, Prefetch) and is ignored by the other engines.
+    /// Builds a core. The Mem data path (Baseline, Prefetch) reaches DRAM
+    /// through the environment it runs in ([`StreamEnv::dram`]); its cache
+    /// hierarchy models the LPDDR5 part's access latency.
     ///
     /// # Panics
     ///
     /// Panics if a Baseline or Prefetch configuration has no cache
-    /// hierarchy or no DRAM handle is given, or if [`CoreConfig::kind`] is
-    /// [`EngineKind::Udp`] (UDP lanes are modeled by
-    /// [`UdpLane`](crate::UdpLane), not by this interpreter).
-    pub fn new(id: usize, cfg: CoreConfig, program: Program, dram: Option<SharedDram>) -> Self {
+    /// hierarchy, or if [`CoreConfig::kind`] is [`EngineKind::Udp`] (UDP
+    /// lanes are modeled by [`UdpLane`](crate::UdpLane), not by this
+    /// interpreter).
+    pub fn new(id: usize, cfg: CoreConfig, program: Program) -> Self {
         assert!(
             cfg.kind != EngineKind::Udp,
             "UDP lanes are modeled analytically, not by Core"
         );
         let path = match cfg.kind.style() {
             AccessStyle::Mem => {
-                let (Some(h), Some(dram)) = (cfg.hierarchy, dram) else {
-                    panic!("the Mem data path needs a cache hierarchy and a DRAM handle");
+                let Some(h) = cfg.hierarchy else {
+                    panic!("the Mem data path needs a cache hierarchy");
                 };
                 DataPath::Mem {
-                    hierarchy: MemHierarchy::new(h, dram),
+                    hierarchy: MemHierarchy::new(h),
                     window: DramWindow::default(),
                 }
             }
@@ -647,7 +649,7 @@ impl Core {
             } => {
                 self.mix.loads += 1;
                 let addr = self.regs[base as usize].wrapping_add(offset) as u64;
-                match self.mem_load(addr, width as u32, self.issue_at(issue_cycle)) {
+                match self.mem_load(env, addr, width as u32, self.issue_at(issue_cycle)) {
                     Ok(raw) => {
                         let v = if signed {
                             sign_extend(raw, width as u32)
@@ -672,7 +674,7 @@ impl Core {
                 let addr = self.regs[base as usize].wrapping_add(offset) as u64;
                 let value = self.regs[rs as usize];
                 if let Err(msg) =
-                    self.mem_store(addr, width as u32, value, self.issue_at(issue_cycle))
+                    self.mem_store(env, addr, width as u32, value, self.issue_at(issue_cycle))
                 {
                     self.wedge(msg);
                     return;
@@ -800,7 +802,13 @@ impl Core {
 
     // ------------------------------------------------------------- memory
 
-    fn mem_load(&mut self, addr: u64, width: u32, issue: SimTime) -> Result<u32, String> {
+    fn mem_load(
+        &mut self,
+        env: &mut dyn StreamEnv,
+        addr: u64,
+        width: u32,
+        issue: SimTime,
+    ) -> Result<u32, String> {
         if addr >= layout::STAGING_OUT_BASE {
             return Err(format!("load from output staging window {addr:#x}"));
         }
@@ -823,8 +831,9 @@ impl Core {
             if !window.contains(off, width) {
                 return Err(format!("DRAM load outside window at {off:#x}"));
             }
+            let pc = self.pc as u64;
             let (complete, served) =
-                hierarchy.access(AccessKind::Load, self.pc as u64, off, width, issue);
+                hierarchy.access(env.dram(), AccessKind::Load, pc, off, width, issue);
             let value = window.load(off, width);
             let avail = window.avail_at(off);
             let stall = self.stall_cycles(issue, complete);
@@ -854,6 +863,7 @@ impl Core {
 
     fn mem_store(
         &mut self,
+        env: &mut dyn StreamEnv,
         addr: u64,
         width: u32,
         value: u32,
@@ -882,8 +892,9 @@ impl Core {
                 return Err(format!("DRAM store outside window at {off:#x}"));
             }
             window.store(off, width, value);
+            let pc = self.pc as u64;
             let (complete, _) =
-                hierarchy.access(AccessKind::Store, self.pc as u64, off, width, issue);
+                hierarchy.access(env.dram(), AccessKind::Store, pc, off, width, issue);
             let stall = self.stall_cycles(issue, complete);
             self.charge(stall, |b| &mut b.stall_l1);
             return Ok(());
@@ -1087,8 +1098,8 @@ mod tests {
 
     fn run_program(asm: Assembler, cfg: CoreConfig) -> Core {
         let program = asm.finish().expect("assembles");
-        let mut core = Core::new(0, cfg, program, None);
-        core.run_to_halt(&mut NullEnv);
+        let mut core = Core::new(0, cfg, program);
+        core.run_to_halt(&mut NullEnv::default());
         core
     }
 
@@ -1186,7 +1197,7 @@ mod tests {
 
         let mut env = SyntheticEnv::new(8, 64);
         env.set_input(0, &data);
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), program);
         core.run_to_halt(&mut env);
         assert_eq!(core.state(), &CoreState::Halted);
         assert_eq!(core.scratchpad().load(0, 4).unwrap() as u32, golden);
@@ -1207,7 +1218,7 @@ mod tests {
         let data: Vec<u8> = (0..1024u32).flat_map(|i| i.to_le_bytes()).collect();
         let mut env = SyntheticEnv::new(8, 256);
         env.set_input(0, &data);
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), program);
         core.run_to_halt(&mut env);
         // Flush the partial final page like the firmware would.
         core.flush_output(&mut env).unwrap();
@@ -1227,7 +1238,7 @@ mod tests {
         let mut env = SyntheticEnv::new(8, 4096);
         env.set_input(0, &data);
         env.set_rate(Some(0.5e9)); // 0.5 GB/s: slower than the core scans
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), program);
         core.run_to_halt(&mut env);
         assert_eq!(core.state(), &CoreState::Halted);
         assert!(
@@ -1239,19 +1250,20 @@ mod tests {
 
     #[test]
     fn dram_window_load_uses_hierarchy() {
-        use assasin_mem::Dram;
         let mut asm = Assembler::new();
         asm.li(Reg::S0, layout::DRAM_BASE as i64);
         asm.lw(Reg::A0, Reg::S0, 0);
         asm.lw(Reg::A1, Reg::S0, 4);
         asm.halt();
         let program = asm.finish().unwrap();
-        let dram = Dram::lpddr5_8gbps().into_shared();
-        let mut core = Core::new(0, CoreConfig::baseline(), program, Some(dram));
+        let mut core = Core::new(0, CoreConfig::baseline(), program);
         let mut w = DramWindow::new(1, 8, 0, 4096);
         w.stage(0, 0, &[1, 0, 0, 0, 2, 0, 0, 0], SimTime::ZERO);
         core.launch_mem(w).unwrap();
-        core.run_to_halt(&mut NullEnv);
+        let mut env = NullEnv::default();
+        core.run_to_halt(&mut env);
+        // The one line fill crossed the environment's DRAM bus.
+        assert!(env.dram().bytes_moved() > 0);
         assert_eq!(core.state(), &CoreState::Halted);
         assert_eq!(core.reg(Reg::A0), 1);
         assert_eq!(core.reg(Reg::A1), 2);
@@ -1292,7 +1304,7 @@ mod tests {
         let golden: u32 = data.iter().map(|&b| b as u32).sum();
         let mut env = SyntheticEnv::new(1, 64);
         env.set_banks(&data, 128);
-        let mut core = Core::new(0, CoreConfig::assasin_sp(), program, None);
+        let mut core = Core::new(0, CoreConfig::assasin_sp(), program);
         core.run_to_halt(&mut env);
         assert_eq!(core.state(), &CoreState::Halted, "{:?}", core.state());
         assert_eq!(core.reg(Reg::A3), golden);
@@ -1305,8 +1317,8 @@ mod tests {
         asm.lw(Reg::A0, Reg::S0, 0); // far past scratchpad
         asm.halt();
         let program = asm.finish().unwrap();
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
-        core.run_to_halt(&mut NullEnv);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), program);
+        core.run_to_halt(&mut NullEnv::default());
         assert!(matches!(core.state(), CoreState::Wedged(_)));
     }
 
@@ -1318,8 +1330,8 @@ mod tests {
         asm.addi(Reg::A0, Reg::A0, 1);
         asm.j(top);
         let program = asm.finish().unwrap();
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
-        core.run(&mut NullEnv, SimTime::from_us(1));
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), program);
+        core.run(&mut NullEnv::default(), SimTime::from_us(1));
         assert_eq!(core.state(), &CoreState::Running);
         let c1 = core.cycles();
         assert!((990..=1010).contains(&c1), "cycles {c1}");
@@ -1333,8 +1345,8 @@ mod more_tests {
     use assasin_isa::{csr, Assembler, Reg};
 
     fn run(asm: Assembler) -> Core {
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap(), None);
-        core.run_to_halt(&mut NullEnv);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap());
+        core.run_to_halt(&mut NullEnv::default());
         core
     }
 
@@ -1360,7 +1372,7 @@ mod more_tests {
         asm.halt();
         let mut env = SyntheticEnv::new(8, 64);
         env.set_input(0, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap(), None);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap());
         core.run_to_halt(&mut env);
         assert_eq!(core.state(), &CoreState::Halted);
         assert_eq!(core.reg(Reg::A2), 4, "in head after one word");
@@ -1377,7 +1389,7 @@ mod more_tests {
         asm.halt();
         let mut env = SyntheticEnv::new(8, 64);
         env.set_input(0, &[9, 0, 0, 0]);
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap(), None);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap());
         core.run_to_halt(&mut env);
         assert_eq!(core.reg(Reg::A0), 4, "four bytes available");
         assert_eq!(core.reg(Reg::A1), 0, "not exhausted");
@@ -1457,14 +1469,13 @@ mod more_tests {
         asm.li(Reg::S0, layout::STAGING_IN_BASE as i64);
         asm.sw(Reg::A0, Reg::S0, 0);
         asm.halt();
-        let mut core = Core::new(0, CoreConfig::assasin_sp(), asm.finish().unwrap(), None);
-        core.run_to_halt(&mut NullEnv);
+        let mut core = Core::new(0, CoreConfig::assasin_sp(), asm.finish().unwrap());
+        core.run_to_halt(&mut NullEnv::default());
         assert!(matches!(core.state(), CoreState::Wedged(m) if m.contains("input staging")));
     }
 
     #[test]
     fn each_engine_wedges_on_structures_it_lacks() {
-        use assasin_mem::Dram;
         use AccessStyle as S;
         fn mem_op(asm: &mut Assembler, base: u64, store: bool) {
             asm.li(Reg::S0, base as i64);
@@ -1493,10 +1504,8 @@ mod more_tests {
                 let mut asm = Assembler::new();
                 probe(&mut asm);
                 asm.halt();
-                let dram = Some(Dram::lpddr5_8gbps().into_shared());
-                let mut core =
-                    Core::new(0, CoreConfig::for_kind(kind), asm.finish().unwrap(), dram);
-                core.run_to_halt(&mut NullEnv);
+                let mut core = Core::new(0, CoreConfig::for_kind(kind), asm.finish().unwrap());
+                core.run_to_halt(&mut NullEnv::default());
                 let structure = match needs {
                     S::Mem => "no DRAM window",
                     S::PingPong => "no ping-pong staging",
@@ -1517,8 +1526,8 @@ mod more_tests {
     fn wedges_on_pc_past_end() {
         let mut asm = Assembler::new();
         asm.nop(); // falls off the end
-        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap(), None);
-        core.run_to_halt(&mut NullEnv);
+        let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap());
+        core.run_to_halt(&mut NullEnv::default());
         assert!(matches!(core.state(), CoreState::Wedged(m) if m.contains("past end")));
     }
 
@@ -1533,8 +1542,8 @@ mod more_tests {
             asm.nop();
             asm.bind(l);
             asm.halt();
-            let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap(), None);
-            core.run_to_halt(&mut NullEnv);
+            let mut core = Core::new(0, CoreConfig::assasin_sb(), asm.finish().unwrap());
+            core.run_to_halt(&mut NullEnv::default());
             core.cycles()
         };
         let taken = build(true);

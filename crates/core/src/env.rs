@@ -3,12 +3,15 @@
 //! The paper separates control plane (firmware) from data plane (ASSASIN
 //! cores): firmware constructs streams from pages at the LPAs of a
 //! computational-storage request and keeps streambuffers fed (Figure 10).
-//! [`StreamEnv`] is that boundary. The real implementation lives in
-//! `assasin-ssd`; [`SyntheticEnv`] supplies in-memory data at a configurable
-//! rate for unit tests and kernel verification.
+//! [`StreamEnv`] is that boundary. It also lends the core the device's one
+//! DRAM ([`StreamEnv::dram`]) for the cache fills of the Mem data path, the
+//! way a CPU model reaches memory through its bus: the core owns no DRAM
+//! handle. The real implementation lives in `assasin-ssd`; [`SyntheticEnv`]
+//! supplies in-memory data at a configurable rate for unit tests and
+//! kernel verification, and [`NullEnv`] supplies none.
 
 use crate::bank_chunk;
-use assasin_mem::StreamBuffer;
+use assasin_mem::{Dram, StreamBuffer};
 use assasin_sim::{SimDur, SimTime};
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -34,12 +37,27 @@ pub trait StreamEnv {
 
     /// Accepts a ping-pong output bank for draining; returns completion.
     fn drain_bank(&mut self, core_id: usize, data: Bytes, now: SimTime) -> SimTime;
+
+    /// The device DRAM behind the Mem data path's cache hierarchy, borrowed
+    /// for one DRAM-window access that is not a plain L1 hit.
+    fn dram(&mut self) -> &mut Dram;
 }
 
 /// An environment with no data at all: every stream is immediately
-/// exhausted. For pure-compute programs.
-#[derive(Debug, Default)]
-pub struct NullEnv;
+/// exhausted. For pure-compute programs and DRAM-window runs, whose input
+/// is staged before launch.
+#[derive(Debug)]
+pub struct NullEnv {
+    dram: Dram,
+}
+
+impl Default for NullEnv {
+    fn default() -> Self {
+        NullEnv {
+            dram: Dram::lpddr5_8gbps(),
+        }
+    }
+}
 
 impl StreamEnv for NullEnv {
     fn refill_stream(&mut self, _core: usize, sid: u32, _now: SimTime, sbuf: &mut StreamBuffer) {
@@ -53,6 +71,9 @@ impl StreamEnv for NullEnv {
     }
     fn drain_bank(&mut self, _core: usize, _data: Bytes, now: SimTime) -> SimTime {
         now
+    }
+    fn dram(&mut self) -> &mut Dram {
+        &mut self.dram
     }
 }
 
@@ -69,6 +90,7 @@ pub struct SyntheticEnv {
     rate: Option<f64>,
     /// Per-input-stream delivery cursor (when the modeled channel frees).
     next_free: Vec<SimTime>,
+    dram: Dram,
 }
 
 impl SyntheticEnv {
@@ -83,6 +105,7 @@ impl SyntheticEnv {
             bank_outputs: Vec::new(),
             rate: None,
             next_free: vec![SimTime::ZERO; streams as usize],
+            dram: Dram::lpddr5_8gbps(),
         }
     }
 
@@ -191,6 +214,10 @@ impl StreamEnv for SyntheticEnv {
             Some(rate) => now + SimDur::from_secs_f64(data.len() as f64 / rate),
         }
     }
+
+    fn dram(&mut self) -> &mut Dram {
+        &mut self.dram
+    }
 }
 
 #[cfg(test)]
@@ -246,7 +273,7 @@ mod tests {
 
     #[test]
     fn null_env_exhausts_immediately() {
-        let mut env = NullEnv;
+        let mut env = NullEnv::default();
         let mut sb = StreamBuffer::new(StreamBufferConfig::default());
         env.refill_stream(0, 0, SimTime::ZERO, &mut sb);
         assert!(sb.is_exhausted(0));

@@ -19,7 +19,8 @@
 //!
 //! A core does not know where stream data comes from: the embedding SSD
 //! (or a test harness) implements [`StreamEnv`] to refill input streams,
-//! drain output pages, and supply ping-pong banks — mirroring the paper's
+//! drain output pages, supply ping-pong banks, and lend the device DRAM
+//! behind the cache hierarchy — mirroring the paper's
 //! firmware/core split (Figure 10), where ASSASIN cores "only process
 //! streams, without the need of knowing any flash array data layout".
 

@@ -100,7 +100,7 @@ impl Launch {
             Kernel::Aes => aes::scratchpad_image(&AES_KEY),
             _ => Vec::new(),
         };
-        let core = preloaded(cfg, self.kernel.program(self.style), None, &image);
+        let core = preloaded(cfg, self.kernel.program(self.style), &image);
         (core, env)
     }
 

@@ -2,9 +2,8 @@
 //! all three access styles and extracts their output.
 
 use crate::AccessStyle;
-use assasin_core::{Core, CoreConfig, CoreState, DramWindow, SyntheticEnv};
+use assasin_core::{Core, CoreConfig, CoreState, DramWindow, NullEnv, SyntheticEnv};
 use assasin_isa::Program;
-use assasin_mem::{Dram, SharedDram};
 use assasin_sim::SimTime;
 
 /// Default staging page size for tests.
@@ -37,7 +36,7 @@ pub fn run_kernel(
 /// Stream-style run (AssasinSb configuration).
 pub fn run_stream(program: Program, inputs: &[&[u8]], image: &[(u32, Vec<u8>)]) -> (Core, Vec<u8>) {
     let mut env = stream_env(inputs);
-    let mut core = preloaded(CoreConfig::assasin_sb(), program, None, image);
+    let mut core = preloaded(CoreConfig::assasin_sb(), program, image);
     core.run_to_halt(&mut env);
     assert_halted(&core);
     let out = stream_output(&mut core, &mut env);
@@ -71,7 +70,7 @@ pub fn run_pingpong(
     image: &[(u32, Vec<u8>)],
 ) -> (Core, Vec<u8>) {
     let mut env = pingpong_env(inputs, granularity);
-    let mut core = preloaded(CoreConfig::assasin_sp(), program, None, image);
+    let mut core = preloaded(CoreConfig::assasin_sp(), program, image);
     core.run_to_halt(&mut env);
     assert_halted(&core);
     let out = env.bank_output().to_vec();
@@ -103,24 +102,18 @@ pub fn run_mem(program: Program, inputs: &[&[u8]], image: &[(u32, Vec<u8>)]) -> 
     for (sid, input) in inputs.iter().enumerate() {
         window.stage(sid, 0, input, SimTime::ZERO);
     }
-    let dram = Dram::lpddr5_8gbps().into_shared();
-    let mut core = preloaded(CoreConfig::baseline(), program, Some(dram), image);
+    let mut core = preloaded(CoreConfig::baseline(), program, image);
     core.launch_mem(window)
         .expect("Baseline runs on the Mem data path");
-    core.run_to_halt(&mut assasin_core::NullEnv);
+    core.run_to_halt(&mut NullEnv::default());
     assert_halted(&core);
     let out = core.mem_output().expect("output fits the window").to_vec();
     (core, out)
 }
 
 /// A core with `image` written into its scratchpad.
-pub fn preloaded(
-    cfg: CoreConfig,
-    program: Program,
-    dram: Option<SharedDram>,
-    image: &[(u32, Vec<u8>)],
-) -> Core {
-    let mut core = Core::new(0, cfg, program, dram);
+pub fn preloaded(cfg: CoreConfig, program: Program, image: &[(u32, Vec<u8>)]) -> Core {
+    let mut core = Core::new(0, cfg, program);
     core.preload(image).expect("scratchpad image fits");
     core
 }

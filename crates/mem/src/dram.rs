@@ -1,8 +1,6 @@
 //! The SSD DRAM: a latency plus a shared bandwidth resource.
 
 use assasin_sim::{Bandwidth, SimDur, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The SSD's DRAM chip (Section II-A): page staging buffer, request queues
 /// and FTL metadata all live here. Every consumer — flash controllers
@@ -10,15 +8,15 @@ use std::rc::Rc;
 /// path — shares one [`Bandwidth`] resource, which is exactly the memory
 /// wall of Section III: at 8 GB/s effective bandwidth, staging traffic plus
 /// compute traffic quickly exceeds capacity.
+///
+/// The device owns its one `Dram`; every consumer borrows it for the
+/// length of one access (cores through their environment's
+/// `StreamEnv::dram`, the firmware data plane directly).
 #[derive(Debug)]
 pub struct Dram {
     latency: SimDur,
     bus: Bandwidth,
 }
-
-/// Shared handle to the SSD DRAM. The simulation is single-threaded per
-/// SSD instance; `Rc<RefCell<_>>` models the physically-shared bus.
-pub type SharedDram = Rc<RefCell<Dram>>;
 
 impl Dram {
     /// Creates a DRAM with the given access latency and sustained bandwidth.
@@ -29,15 +27,13 @@ impl Dram {
         }
     }
 
+    /// Access latency of the evaluated LPDDR5 part (Section VI-A).
+    pub const LPDDR5_LATENCY: SimDur = SimDur::from_ns(100);
+
     /// The paper's evaluated part: 2 GB LPDDR5 at 8 GB/s effective
     /// bandwidth (Section VI-A), 100 ns access latency.
     pub fn lpddr5_8gbps() -> Self {
-        Dram::new(SimDur::from_ns(100), 8.0e9)
-    }
-
-    /// Wraps a DRAM in a shared handle.
-    pub fn into_shared(self) -> SharedDram {
-        Rc::new(RefCell::new(self))
+        Dram::new(Self::LPDDR5_LATENCY, 8.0e9)
     }
 
     /// A demand access of `bytes` issued at `ready`: waits for a bus slot,

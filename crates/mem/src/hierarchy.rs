@@ -1,6 +1,6 @@
 //! The cache-DRAM hierarchy used by Baseline/Prefetch cores (Figure 4).
 
-use crate::{Cache, CacheGeometry, DcptPrefetcher, SharedDram};
+use crate::{Cache, CacheGeometry, DcptPrefetcher, Dram};
 use assasin_sim::{SimDur, SimTime};
 use std::collections::HashMap;
 
@@ -79,7 +79,9 @@ impl HierarchyConfig {
     }
 }
 
-/// A per-core cache hierarchy in front of the shared SSD DRAM.
+/// A per-core cache hierarchy in front of the SSD DRAM. The hierarchy
+/// holds no DRAM of its own: the device owns the one DRAM bus, and each
+/// [`MemHierarchy::access`] borrows it for that access.
 ///
 /// Timing model: L1 hits cost [`HierarchyConfig::l1_hit`]; L1 misses that
 /// hit in L2 cost `l2_hit`; L2 misses occupy the shared DRAM bus for a line
@@ -93,28 +95,22 @@ pub struct MemHierarchy {
     l1: Option<Cache>,
     l2: Option<Cache>,
     prefetcher: Option<DcptPrefetcher>,
-    dram: SharedDram,
     /// In-flight (or completed-but-unclaimed) prefetches: line addr -> data
     /// ready time.
     inflight_pf: HashMap<u64, SimTime>,
     line_bytes: u32,
     /// Demand traffic brought in from DRAM, in bytes.
     dram_fill_bytes: u64,
-    /// `dram.latency() * mlp_latency_factor`, precomputed — the DRAM
-    /// latency is fixed at construction, so the per-miss float round-trip
-    /// is paid once here instead of on every fill.
-    exposed_dram_latency: SimDur,
 }
 
 impl MemHierarchy {
     /// Largest number of outstanding prefetched lines tracked.
     const MAX_INFLIGHT_PF: usize = 32;
 
-    /// Builds the hierarchy over the shared DRAM.
-    pub fn new(cfg: HierarchyConfig, dram: SharedDram) -> Self {
+    /// Builds the hierarchy; the DRAM it sits in front of is passed to
+    /// each [`MemHierarchy::access`].
+    pub fn new(cfg: HierarchyConfig) -> Self {
         let line_bytes = cfg.l1.or(cfg.l2).map(|g| g.line_bytes).unwrap_or(64);
-        let exposed_dram_latency =
-            SimDur::from_secs_f64(dram.borrow().latency().as_secs_f64() * cfg.mlp_latency_factor);
         MemHierarchy {
             l1: cfg.l1.map(Cache::new),
             l2: cfg.l2.map(Cache::new),
@@ -124,22 +120,22 @@ impl MemHierarchy {
                 None
             },
             cfg,
-            dram,
             inflight_pf: HashMap::new(),
             line_bytes,
             dram_fill_bytes: 0,
-            exposed_dram_latency,
         }
     }
 
     /// Performs a demand access of `bytes` at `addr` issued by the
-    /// instruction at `pc`, ready at `ready`. Returns the completion time
-    /// and the level that served it.
+    /// instruction at `pc`, ready at `ready`. Misses, prefetches and
+    /// writebacks occupy `dram`'s bus. Returns the completion time and the
+    /// level that served it.
     ///
     /// Accesses are line-granular: an access spanning two lines touches
     /// both and completes at the later one.
     pub fn access(
         &mut self,
+        dram: &mut Dram,
         kind: AccessKind,
         pc: u64,
         addr: u64,
@@ -157,7 +153,7 @@ impl MemHierarchy {
             if let Some(l1) = &mut self.l1 {
                 if l1.try_hit(first_line, matches!(kind, AccessKind::Store)) {
                     if self.prefetcher.is_some() {
-                        self.train_prefetcher(pc, addr, ready);
+                        self.train_prefetcher(dram, pc, addr, ready);
                     }
                     return (ready + self.cfg.l1_hit, ServedBy::L1);
                 }
@@ -167,7 +163,7 @@ impl MemHierarchy {
         let mut served = ServedBy::L1;
         let mut line = first_line;
         loop {
-            let (t, s) = self.access_line(kind, line, ready);
+            let (t, s) = self.access_line(dram, kind, line, ready);
             if t > complete {
                 complete = t;
                 served = s;
@@ -181,18 +177,24 @@ impl MemHierarchy {
         }
         // Prefetcher observes the demand stream (trains on all accesses).
         if self.prefetcher.is_some() {
-            self.train_prefetcher(pc, addr, ready);
+            self.train_prefetcher(dram, pc, addr, ready);
         }
         (complete, served)
     }
 
-    fn access_line(&mut self, kind: AccessKind, line: u64, ready: SimTime) -> (SimTime, ServedBy) {
+    fn access_line(
+        &mut self,
+        dram: &mut Dram,
+        kind: AccessKind,
+        line: u64,
+        ready: SimTime,
+    ) -> (SimTime, ServedBy) {
         let l1_hit_time = ready + self.cfg.l1_hit;
         // L1 lookup.
         if let Some(l1) = &mut self.l1 {
             let r = l1.access(line, matches!(kind, AccessKind::Store));
             if let Some(wb) = r.writeback {
-                self.writeback(wb, ready);
+                self.writeback(dram, wb, ready);
             }
             if r.hit {
                 return (l1_hit_time, ServedBy::L1);
@@ -202,7 +204,7 @@ impl MemHierarchy {
         if let Some(pf_ready) = self.inflight_pf.remove(&line) {
             if let Some(l2) = &mut self.l2 {
                 if let Some(wb) = l2.fill(line) {
-                    self.writeback(wb, ready);
+                    self.writeback(dram, wb, ready);
                 }
             }
             if let Some(pf) = &mut self.prefetcher {
@@ -217,7 +219,7 @@ impl MemHierarchy {
         if let Some(l2) = &mut self.l2 {
             let r = l2.access(line, false);
             if let Some(wb) = r.writeback {
-                self.writeback(wb, ready);
+                self.writeback(dram, wb, ready);
             }
             if r.hit {
                 return (ready + self.cfg.l2_hit, ServedBy::L2);
@@ -230,20 +232,20 @@ impl MemHierarchy {
         self.dram_fill_bytes += fill;
         let done = match kind {
             AccessKind::Load => {
-                let bus = self.dram.borrow_mut().post(ready, fill);
-                bus + self.exposed_dram_latency
+                let bus = dram.post(ready, fill);
+                bus + self.exposed_latency(dram)
             }
             // Store misses fetch the line for ownership but retire through
             // the store buffer: traffic yes, stall no.
             AccessKind::Store => {
-                self.dram.borrow_mut().post(ready, fill);
+                dram.post(ready, fill);
                 ready + self.cfg.l1_hit
             }
         };
         (done, ServedBy::Dram)
     }
 
-    fn train_prefetcher(&mut self, pc: u64, addr: u64, now: SimTime) {
+    fn train_prefetcher(&mut self, dram: &mut Dram, pc: u64, addr: u64, now: SimTime) {
         let Some(pf) = &mut self.prefetcher else {
             return;
         };
@@ -261,15 +263,20 @@ impl MemHierarchy {
             let fill = self.line_bytes as u64 * self.cfg.fill_bytes_factor as u64;
             self.dram_fill_bytes += fill;
             let ready = {
-                let bus = self.dram.borrow_mut().post(now, fill);
-                bus + self.exposed_dram_latency
+                let bus = dram.post(now, fill);
+                bus + self.exposed_latency(dram)
             };
             self.inflight_pf.insert(line, ready);
         }
     }
 
-    fn writeback(&mut self, _line: u64, ready: SimTime) {
-        self.dram.borrow_mut().post(ready, self.line_bytes as u64);
+    /// The part of `dram`'s access latency a blocking fill sees.
+    fn exposed_latency(&self, dram: &Dram) -> SimDur {
+        SimDur::from_secs_f64(dram.latency().as_secs_f64() * self.cfg.mlp_latency_factor)
+    }
+
+    fn writeback(&self, dram: &mut Dram, _line: u64, ready: SimTime) {
+        dram.post(ready, self.line_bytes as u64);
     }
 
     /// Demand-fill traffic brought from DRAM so far, in bytes.
@@ -291,42 +298,49 @@ impl MemHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dram;
 
-    fn dram() -> SharedDram {
-        Dram::lpddr5_8gbps().into_shared()
+    /// A hierarchy plus the DRAM it borrows on every access.
+    fn with_dram(cfg: HierarchyConfig) -> (MemHierarchy, Dram) {
+        (MemHierarchy::new(cfg), Dram::lpddr5_8gbps())
     }
 
     #[test]
     fn l1_hit_is_fast() {
-        let mut h = MemHierarchy::new(HierarchyConfig::baseline(), dram());
-        let (t0, s0) = h.access(AccessKind::Load, 0, 0x1000, 4, SimTime::ZERO);
+        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (t0, s0) = h.access(&mut dram, AccessKind::Load, 0, 0x1000, 4, SimTime::ZERO);
         assert_eq!(s0, ServedBy::Dram);
-        let (t1, s1) = h.access(AccessKind::Load, 0, 0x1004, 4, t0);
+        let (t1, s1) = h.access(&mut dram, AccessKind::Load, 0, 0x1004, 4, t0);
         assert_eq!(s1, ServedBy::L1);
         assert_eq!(t1, t0 + HierarchyConfig::baseline().l1_hit);
     }
 
     #[test]
     fn l2_serves_l1_victims() {
-        let mut h = MemHierarchy::new(HierarchyConfig::baseline(), dram());
+        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
         // Touch enough distinct lines to overflow L1 (32KiB = 512 lines)
         // but stay within L2 (4096 lines).
         for i in 0..1024u64 {
-            h.access(AccessKind::Load, 0, i * 64, 4, SimTime::from_us(100));
+            h.access(
+                &mut dram,
+                AccessKind::Load,
+                0,
+                i * 64,
+                4,
+                SimTime::from_us(100),
+            );
         }
         // Re-touch the first line: out of L1, still in L2.
-        let (_, s) = h.access(AccessKind::Load, 0, 0, 4, SimTime::from_ms(1));
+        let (_, s) = h.access(&mut dram, AccessKind::Load, 0, 0, 4, SimTime::from_ms(1));
         assert_eq!(s, ServedBy::L2);
     }
 
     #[test]
     fn streaming_pays_dram_every_line() {
-        let mut h = MemHierarchy::new(HierarchyConfig::baseline(), dram());
+        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
         let mut dram_served = 0;
         let mut t = SimTime::ZERO;
         for i in 0..256u64 {
-            let (done, s) = h.access(AccessKind::Load, 0, 0x10_0000 + i * 64, 4, t);
+            let (done, s) = h.access(&mut dram, AccessKind::Load, 0, 0x10_0000 + i * 64, 4, t);
             t = done;
             if s == ServedBy::Dram {
                 dram_served += 1;
@@ -339,11 +353,11 @@ mod tests {
 
     #[test]
     fn prefetcher_converts_misses() {
-        let mut hp = MemHierarchy::new(HierarchyConfig::with_prefetcher(), dram());
+        let (mut hp, mut dram) = with_dram(HierarchyConfig::with_prefetcher());
         let mut t = SimTime::ZERO;
         let mut covered = 0;
         for i in 0..512u64 {
-            let (done, s) = hp.access(AccessKind::Load, 0x40, 0x20_0000 + i * 64, 4, t);
+            let (done, s) = hp.access(&mut dram, AccessKind::Load, 0x40, 0x20_0000 + i * 64, 4, t);
             t = done;
             if s == ServedBy::Prefetch {
                 covered += 1;
@@ -360,8 +374,8 @@ mod tests {
 
     #[test]
     fn stores_do_not_stall() {
-        let mut h = MemHierarchy::new(HierarchyConfig::baseline(), dram());
-        let (t, s) = h.access(AccessKind::Store, 0, 0x5000, 4, SimTime::ZERO);
+        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (t, s) = h.access(&mut dram, AccessKind::Store, 0, 0x5000, 4, SimTime::ZERO);
         assert_eq!(s, ServedBy::Dram);
         assert_eq!(t, SimTime::ZERO + HierarchyConfig::baseline().l1_hit);
         // ... but they do produce DRAM traffic (2x per fill byte).
@@ -370,8 +384,8 @@ mod tests {
 
     #[test]
     fn straddling_access_touches_two_lines() {
-        let mut h = MemHierarchy::new(HierarchyConfig::baseline(), dram());
-        h.access(AccessKind::Load, 0, 0x103C, 8, SimTime::ZERO);
+        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        h.access(&mut dram, AccessKind::Load, 0, 0x103C, 8, SimTime::ZERO);
         let (hits, misses) = h.l1_counters().unwrap();
         assert_eq!((hits, misses), (0, 2));
     }

@@ -41,7 +41,7 @@ pub mod sram;
 mod streambuffer;
 
 pub use cache::{Cache, CacheGeometry};
-pub use dram::{Dram, SharedDram};
+pub use dram::Dram;
 pub use error::MemError;
 pub use hierarchy::{AccessKind, HierarchyConfig, MemHierarchy, ServedBy};
 pub use prefetch::DcptPrefetcher;

@@ -1,5 +1,6 @@
 //! Ordered fork-join parallelism over `std::thread` for the sweep
-//! executor (`crates/bench`).
+//! executor (`crates/bench`) and the array's device batches
+//! (`crates/array`).
 //!
 //! The registry-less build cannot pull in `rayon`, so this crate provides
 //! the one primitive the harness needs: [`par_map`], a work-stealing map
@@ -105,42 +106,6 @@ fn take_budget(want: usize) -> usize {
             Ok(_) => return take,
             Err(now) => cur = now,
         }
-    }
-}
-
-/// A claim on extra worker threads from the process-wide budget shared
-/// with [`par_map`]. Long-lived executors (the `assasin-array` device
-/// workers) hold one of these for their lifetime, so the threads they pin
-/// are unavailable to nested `par_map` calls — the same degrade-toward-
-/// serial accounting `par_map` applies to itself. The claim is returned
-/// to the budget on drop.
-#[derive(Debug)]
-pub struct ThreadLease {
-    claimed: usize,
-}
-
-impl ThreadLease {
-    /// How many extra threads this lease actually holds (`<= want`; 0 when
-    /// the budget was exhausted and the caller should run inline).
-    pub fn claimed(&self) -> usize {
-        self.claimed
-    }
-}
-
-impl Drop for ThreadLease {
-    fn drop(&mut self) {
-        if self.claimed > 0 {
-            budget().fetch_add(self.claimed, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Claims up to `want` extra threads from the global budget for a
-/// long-lived executor. Unlike [`par_map`]'s internal claims (returned
-/// when the map finishes), the lease persists until dropped.
-pub fn claim_threads(want: usize) -> ThreadLease {
-    ThreadLease {
-        claimed: take_budget(want),
     }
 }
 
@@ -263,22 +228,6 @@ mod tests {
                 parse_thread_env(bad).is_err(),
                 "{bad:?} must be rejected, not silently defaulted"
             );
-        }
-    }
-
-    #[test]
-    fn thread_lease_respects_want_and_survives_drop_cycles() {
-        // The budget is process-global and other tests exercise it
-        // concurrently, so assert per-lease invariants only: a lease never
-        // exceeds its ask, a zero ask claims nothing, and repeated
-        // claim/drop cycles do not leak (a leak would drain the budget to
-        // zero and pin every later claim at 0 — with leases this size the
-        // budget would be negative long before the loop ends if drops
-        // failed to give threads back).
-        assert_eq!(claim_threads(0).claimed(), 0);
-        for _ in 0..10_000 {
-            let lease = claim_threads(2);
-            assert!(lease.claimed() <= 2);
         }
     }
 

@@ -6,7 +6,7 @@ use crate::{SsdError, MEDIA_BACKOFF, PCIE_LATENCY};
 use assasin_core::{bank_chunk, StreamEnv};
 use assasin_flash::{FlashArray, FlashError, PhysPageAddr};
 use assasin_ftl::{Ftl, FtlError, Lpa};
-use assasin_mem::{SharedDram, StreamBuffer};
+use assasin_mem::{Dram, StreamBuffer};
 use assasin_sim::{Bandwidth, SimDur, SimTime, Timeline};
 use bytes::Bytes;
 
@@ -210,7 +210,7 @@ pub(crate) struct Backend<'a> {
     pub ftl: &'a mut Ftl,
     /// Where drained output goes.
     pub sink: Sink,
-    pub dram: SharedDram,
+    pub dram: &'a mut Dram,
     pub pcie: &'a mut Bandwidth,
     /// Pre-scheduled page deliveries, [core][stream].
     pub scheduled: Vec<Vec<PageQueue>>,
@@ -270,7 +270,7 @@ impl Backend<'_> {
         let done = match &mut self.sink {
             Sink::Host => {
                 // Read path: stage in DRAM, DMA to the host.
-                let staged = self.dram.borrow_mut().post(now, data.len() as u64);
+                let staged = self.dram.post(now, data.len() as u64);
                 self.pcie.transfer(staged, data.len() as u64) + PCIE_LATENCY
             }
             // Write path: results go straight back through the crossbar
@@ -442,6 +442,10 @@ impl StreamEnv for Backend<'_> {
             return now;
         }
         self.drain(core, &data, now)
+    }
+
+    fn dram(&mut self) -> &mut Dram {
+        self.dram
     }
 }
 

@@ -4,8 +4,6 @@ use assasin_core::{CoreConfig, EngineKind};
 use assasin_flash::{FaultConfig, FlashGeometry, FlashTiming};
 use assasin_sim::SimDur;
 
-/// SSD DRAM access latency.
-pub const DRAM_LATENCY: SimDur = SimDur::from_ns(100);
 /// Host link bandwidth in bytes/second (PCIe Gen4 x4, 8 GB/s).
 pub const PCIE_BW: f64 = 8.0e9;
 /// Host link base latency.

@@ -43,7 +43,7 @@ mod error;
 mod request;
 mod ssd;
 
-pub use config::{SsdConfig, DRAM_LATENCY, EPOCH, MEDIA_BACKOFF, PCIE_BW, PCIE_LATENCY};
+pub use config::{SsdConfig, EPOCH, MEDIA_BACKOFF, PCIE_BW, PCIE_LATENCY};
 pub use error::SsdError;
 pub use request::{CoreReport, KernelBundle, OutputTarget, ScompRequest, ScompResult};
 pub use ssd::{PlainIoResult, Ssd, SsdImage};

@@ -3,8 +3,8 @@
 use crate::backend::{schedule_plans, split_ranges, Backend, FlashOut, PagePlan, Sink, StreamPlan};
 use crate::request::OutputTarget;
 use crate::{
-    CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError, DRAM_LATENCY, EPOCH, MEDIA_BACKOFF,
-    PCIE_BW, PCIE_LATENCY,
+    CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError, EPOCH, MEDIA_BACKOFF, PCIE_BW,
+    PCIE_LATENCY,
 };
 use assasin_core::{
     Core, CoreConfig, CoreState, DataPath, DramWindow, EngineKind, KernelProfile, RunOutcome,
@@ -13,7 +13,7 @@ use assasin_core::{
 use assasin_flash::FlashArray;
 use assasin_ftl::{placement::Placement, Ftl, Lpa};
 use assasin_isa::{AccessStyle, Program};
-use assasin_mem::{Dram, SharedDram};
+use assasin_mem::Dram;
 use assasin_sim::{Bandwidth, SimDur, SimTime, Timeline};
 use bytes::Bytes;
 
@@ -44,14 +44,22 @@ impl PlainIoResult {
 
 /// One computational SSD (Figure 6 for ASSASIN variants, Figure 4 for the
 /// baseline architectures).
+///
+/// The device is the one owner of its DRAM: a request's data plane and
+/// cores borrow it for the request. Owning every part makes `Ssd` `Send`,
+/// so an array runs its devices on whichever threads it has.
 pub struct Ssd {
     cfg: SsdConfig,
     flash: FlashArray,
     ftl: Ftl,
-    dram: SharedDram,
+    dram: Dram,
     pcie: Bandwidth,
     crossbar: Vec<Timeline>,
 }
+
+/// Compile-time check that [`Ssd`] stays `Send`.
+fn _assert_send<T: Send>() {}
+const _: fn() = _assert_send::<Ssd>;
 
 /// A preconditioned device image: the flash contents and FTL state of an
 /// [`Ssd`], detached from its per-device timing structures and cheap to
@@ -60,8 +68,9 @@ pub struct Ssd {
 /// pointer bumps and shares every written page with its siblings until a
 /// write diverges a block.
 ///
-/// Unlike [`Ssd`] (whose shared-DRAM handle is single-threaded), an image
-/// is `Send + Sync`: sweep threads fork from one shared image in parallel.
+/// An image is `Send + Sync`: sweep threads fork from one shared image in
+/// parallel, and each fork is an `Ssd` (itself `Send`) owned by the thread
+/// that runs it.
 #[derive(Debug, Clone)]
 pub struct SsdImage {
     /// Fingerprint of the config facets that shaped the media contents.
@@ -97,7 +106,7 @@ impl Ssd {
     pub fn new(cfg: SsdConfig) -> Self {
         let flash = FlashArray::with_faults(cfg.geometry, cfg.timing, cfg.fault);
         let ftl = Ftl::new(cfg.geometry);
-        let dram = Dram::new(DRAM_LATENCY, cfg.dram_bw).into_shared();
+        let dram = Dram::new(Dram::LPDDR5_LATENCY, cfg.dram_bw);
         let pcie = Bandwidth::new("pcie", PCIE_BW);
         let crossbar = (0..cfg.n_cores)
             .map(|i| Timeline::new(format!("xbar-port-{i}")))
@@ -231,7 +240,7 @@ impl Ssd {
     /// boundary between setup and a measured run.
     pub fn quiesce(&mut self) {
         self.flash.reset_time();
-        self.dram.borrow_mut().reset_time();
+        self.dram.reset_time();
         self.pcie.reset_time();
         for p in &mut self.crossbar {
             p.reset_time();
@@ -252,7 +261,7 @@ impl Ssd {
         for &lpa in lpas {
             let (payload, arrival) = self.ftl_read_retrying(lpa, SimTime::ZERO)?;
             // Stage in DRAM, then DMA to the host.
-            let staged = self.dram.borrow_mut().post(arrival, page);
+            let staged = self.dram.post(arrival, page);
             let sent = self.pcie.transfer(staged, page) + PCIE_LATENCY;
             done = done.max(sent);
             data.extend_from_slice(&payload);
@@ -513,7 +522,7 @@ impl Ssd {
         };
 
         let mut cores = (0..n_cores)
-            .map(|id| kernel_core(id, core_cfg, program.clone(), Some(self.dram.clone()), req))
+            .map(|id| kernel_core(id, core_cfg, program.clone(), req))
             .collect::<Result<Vec<_>, _>>()?;
 
         let sink = match req.output {
@@ -548,7 +557,7 @@ impl Ssd {
             flash: &mut self.flash,
             ftl: &mut self.ftl,
             sink,
-            dram: self.dram.clone(),
+            dram: &mut self.dram,
             pcie: &mut self.pcie,
             scheduled,
             outputs: vec![Vec::new(); n_cores],
@@ -581,7 +590,6 @@ impl Ssd {
 
         Ok(Session {
             cfg: self.cfg,
-            dram: self.dram.clone(),
             backend,
             cores,
         })
@@ -620,7 +628,7 @@ impl Ssd {
             staging_bytes: core_cfg.scratchpad_bytes,
             ..CoreConfig::assasin_sp()
         };
-        let mut core = kernel_core(0, ref_cfg, program, None, req)?;
+        let mut core = kernel_core(0, ref_cfg, program, req)?;
         core.run_to_halt(&mut env);
         if let CoreState::Wedged(m) = core.state() {
             return Err(SsdError::CoreWedged(m.clone()));
@@ -661,10 +669,9 @@ fn kernel_core(
     id: usize,
     cfg: CoreConfig,
     program: Program,
-    dram: Option<SharedDram>,
     req: &ScompRequest,
 ) -> Result<Core, SsdError> {
-    let mut core = Core::new(id, cfg, program, dram);
+    let mut core = Core::new(id, cfg, program);
     core.preload(req.kernel.scratchpad_image())
         .map_err(|e| SsdError::BadRequest(format!("scratchpad image: {e}")))?;
     Ok(core)
@@ -717,7 +724,7 @@ fn stage_windows(
             let payload = data.slice(plan.offset as usize..(plan.offset + plan.len) as usize);
             backend.bytes_streamed += plan.len as u64;
             backend.per_core_streamed[*id] += plan.len as u64;
-            windows[*id].stage(*sid, *pos, &payload, flash_arrival + DRAM_LATENCY);
+            windows[*id].stage(*sid, *pos, &payload, flash_arrival + backend.dram.latency());
             *pos += plan.len as u64;
         }
     }
@@ -762,7 +769,6 @@ fn stuck_report(rounds: u64, deadline: SimTime, cores: &[Core], backend: &Backen
 /// ([`Session::run_epochs`]) and finalization ([`Session::finalize`]).
 struct Session<'s> {
     cfg: SsdConfig,
-    dram: SharedDram,
     backend: Backend<'s>,
     cores: Vec<Core>,
 }
@@ -834,7 +840,6 @@ impl Session<'_> {
     fn finalize(self, (cosim_rounds, epochs_skipped): (u64, u64)) -> Result<ScompResult, SsdError> {
         let Session {
             cfg,
-            dram,
             mut backend,
             mut cores,
         } = self;
@@ -856,7 +861,7 @@ impl Session<'_> {
                 if !data.is_empty() {
                     if let Sink::Flash(_) = backend.sink {
                         // DRAM read of the results, then flash writes.
-                        dram.borrow_mut().post(halt_time, data.len() as u64);
+                        backend.dram.post(halt_time, data.len() as u64);
                     }
                     backend.drain(id, data, halt_time);
                 }
@@ -910,7 +915,7 @@ impl Session<'_> {
         let channel_busy = (0..channels)
             .map(|c| backend.flash.channel_busy(c))
             .collect();
-        let dram_traffic = dram.borrow().bytes_moved();
+        let dram_traffic = backend.dram.bytes_moved();
 
         Ok(ScompResult {
             elapsed,

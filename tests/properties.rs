@@ -245,7 +245,7 @@ proptest! {
 fn run_stream_kernel(program: assasin::isa::Program, input: &[u8]) -> (Core, Vec<u8>) {
     let mut env = SyntheticEnv::new(8, 256);
     env.set_input(0, input);
-    let mut core = Core::new(0, CoreConfig::assasin_sb(), program, None);
+    let mut core = Core::new(0, CoreConfig::assasin_sb(), program);
     core.run_to_halt(&mut env);
     assert_eq!(core.state(), &CoreState::Halted);
     core.flush_output(&mut env).unwrap();
@@ -404,7 +404,6 @@ proptest! {
             0,
             CoreConfig::assasin_sb(),
             nn::program(AccessStyle::Stream),
-            None,
         );
         core.preload(&model.scratchpad_image()).unwrap();
         core.run_to_halt(&mut env);
