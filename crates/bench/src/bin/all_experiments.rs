@@ -16,7 +16,7 @@
 //!
 //! The last line on standard error is one JSON object with the run's
 //! wall times: `{"nproc", "threads", "scale", "total_s", "tasks": {name:
-//! seconds}}` (`BENCH_all_experiments.json` records two such lines).
+//! seconds}}` (`BENCH_all_experiments.json` records such lines).
 
 use assasin_bench::experiments::*;
 use assasin_bench::{sweep, Scale};

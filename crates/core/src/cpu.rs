@@ -64,95 +64,220 @@ pub enum RunOutcome {
     BlockedUntil(SimTime),
 }
 
-/// One predecoded instruction: register fields resolved to raw indices,
-/// immediates pre-shifted/cast to their execution form, and multi-cycle
-/// ALU stalls baked in at decode, so the dispatch loop does no per-step
-/// field conversion beyond a single bounds check on the slot fetch. Each
-/// [`Instr`] lowers to exactly one slot (`Alu` splits into `Alu` and
-/// `MulDiv`), so `pc` indexes instructions and slots alike.
+/// The base ALU ops: the one list the [`Slot`] variants, the predecode
+/// mapping and the dispatch arms are generated from, so each op's
+/// expression is written once. Each entry names the [`AluOp`], its
+/// register-form and immediate-form slots, and its value over the
+/// operands `a` and `b`; the M-extension ops, evaluated by
+/// [`muldiv_eval`], lead the list. Passes `$args` and the list to
+/// `$callback`.
+macro_rules! alu_ops {
+    ($callback:ident! $args:tt) => {
+        $callback! {
+            $args
+            muldiv: Mul Mulh Mulhu Div Divu Rem Remu;
+            Add, AddI: |a, b| a.wrapping_add(b);
+            Sub, SubI: |a, b| a.wrapping_sub(b);
+            Sll, SllI: |a, b| a.wrapping_shl(b & 31);
+            Slt, SltI: |a, b| ((a as i32) < (b as i32)) as u32;
+            Sltu, SltuI: |a, b| (a < b) as u32;
+            Xor, XorI: |a, b| a ^ b;
+            Srl, SrlI: |a, b| a.wrapping_shr(b & 31);
+            Sra, SraI: |a, b| ((a as i32).wrapping_shr(b & 31)) as u32;
+            Or, OrI: |a, b| a | b;
+            And, AndI: |a, b| a & b;
+        }
+    };
+}
+
+/// Declares `enum Slot` with one register-form and one immediate-form
+/// variant per base ALU op ahead of the variants written out.
+macro_rules! slot_enum {
+    (
+        { $(#[$attr:meta])* enum Slot { $($rest:tt)* } }
+        muldiv: $($m:ident)*;
+        $($op:ident, $imm:ident: |$a:ident, $b:ident| $e:expr;)*
+    ) => {
+        $(#[$attr])*
+        enum Slot {
+            $(
+                $op { rd: u8, rs1: u8, rs2: u8 },
+                $imm { rd: u8, rs1: u8, imm: u32 },
+            )*
+            $($rest)*
+        }
+    };
+}
+
+/// Defines `alu_slot` and `alu_imm_slot`, which lower a base ALU op to
+/// its own slot and hand an M-extension op back as a [`MulDivOp`].
+macro_rules! alu_lowering {
+    (
+        {}
+        muldiv: $($m:ident)*;
+        $($op:ident, $imm:ident: |$a:ident, $b:ident| $e:expr;)*
+    ) => {
+        /// The slot of a register-form base ALU op, or the M-extension op.
+        fn alu_slot(op: AluOp, rd: u8, rs1: u8, rs2: u8) -> Result<Slot, MulDivOp> {
+            match op {
+                $(AluOp::$op => Ok(Slot::$op { rd, rs1, rs2 }),)*
+                $(AluOp::$m => Err(MulDivOp::$m),)*
+            }
+        }
+
+        /// The slot of an immediate-form base ALU op, or the M-extension op.
+        fn alu_imm_slot(op: AluOp, rd: u8, rs1: u8, imm: u32) -> Result<Slot, MulDivOp> {
+            match op {
+                $(AluOp::$op => Ok(Slot::$imm { rd, rs1, imm }),)*
+                $(AluOp::$m => Err(MulDivOp::$m),)*
+            }
+        }
+    };
+}
+
+/// Expands to `match $slot { <the base ALU arms> <the arms written out> }`
+/// inside a `Core` method, so every slot, ALU or not, is one arm of one
+/// `match`: one dispatch per instruction.
+macro_rules! dispatch {
+    (
+        { $core:ident, $slot:expr, $($rest:tt)* }
+        muldiv: $($m:ident)*;
+        $($op:ident, $imm:ident: |$a:ident, $b:ident| $e:expr;)*
+    ) => {
+        match $slot {
+            $(
+                Slot::$op { rd, rs1, rs2 } => {
+                    let $a = $core.regs[rs1 as usize];
+                    let $b = $core.regs[rs2 as usize];
+                    $core.set_reg_idx(rd, $e);
+                    $core.mix.alu += 1;
+                }
+                Slot::$imm { rd, rs1, imm } => {
+                    let $a = $core.regs[rs1 as usize];
+                    let $b = imm;
+                    $core.set_reg_idx(rd, $e);
+                    $core.mix.alu += 1;
+                }
+            )*
+            $($rest)*
+        }
+    };
+}
+
+alu_ops!(slot_enum! {
+    /// One predecoded instruction: register fields resolved to raw
+    /// indices, immediates pre-shifted/cast to their execution form, and
+    /// multi-cycle ALU stalls baked in at decode, so the dispatch loop
+    /// does no per-step field conversion beyond a single bounds check on
+    /// the slot fetch. Each [`Instr`] lowers to exactly one slot, so `pc`
+    /// indexes instructions and slots alike; each base ALU op has a
+    /// register-form and an immediate-form variant of its own (see
+    /// [`alu_ops`]), so an ALU instruction dispatches once.
+    #[derive(Debug, Clone, Copy)]
+    enum Slot {
+        /// Multi-cycle mul/div with the extra stall cycles pre-resolved
+        /// from [`CoreConfig::mul_cycles`]/[`CoreConfig::div_cycles`].
+        MulDiv {
+            op: MulDivOp,
+            rd: u8,
+            rs1: u8,
+            rs2: u8,
+            stall: u64,
+        },
+        /// An M-extension op in immediate form: encodable, and executed
+        /// like a base immediate op (one cycle, counted as ALU).
+        MulDivImm {
+            op: MulDivOp,
+            rd: u8,
+            rs1: u8,
+            imm: u32,
+        },
+        /// `Lui` with the `imm << 12` shift already applied.
+        Lui {
+            rd: u8,
+            imm: u32,
+        },
+        Load {
+            width: u8,
+            signed: bool,
+            rd: u8,
+            base: u8,
+            offset: u32,
+        },
+        Store {
+            width: u8,
+            rs: u8,
+            base: u8,
+            offset: u32,
+        },
+        Branch {
+            cond: BranchCond,
+            rs1: u8,
+            rs2: u8,
+            target: u32,
+        },
+        Jal {
+            rd: u8,
+            target: u32,
+        },
+        Jalr {
+            rd: u8,
+            base: u8,
+            offset: u32,
+        },
+        Halt,
+        StreamLoad {
+            rd: u8,
+            sid: u8,
+            width: u8,
+        },
+        StreamStore {
+            sid: u8,
+            width: u8,
+            rs: u8,
+        },
+        StreamAvail {
+            rd: u8,
+            sid: u8,
+        },
+        StreamEos {
+            rd: u8,
+            sid: u8,
+        },
+        BufSwap {
+            bank: u8,
+        },
+        CsrR {
+            rd: u8,
+            csr: u16,
+        },
+    }
+});
+
+alu_ops!(alu_lowering! {});
+
+/// The M-extension ops: one [`Slot::MulDiv`] variant evaluated by
+/// [`muldiv_eval`].
 #[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Single-cycle register-register ALU operation.
-    Alu {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    /// Multi-cycle mul/div with the extra stall cycles pre-resolved from
-    /// [`CoreConfig::mul_cycles`]/[`CoreConfig::div_cycles`].
-    MulDiv {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-        stall: u64,
-    },
-    AluImm {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        imm: u32,
-    },
-    /// `Lui` with the `imm << 12` shift already applied.
-    Lui {
-        rd: u8,
-        imm: u32,
-    },
-    Load {
-        width: u8,
-        signed: bool,
-        rd: u8,
-        base: u8,
-        offset: u32,
-    },
-    Store {
-        width: u8,
-        rs: u8,
-        base: u8,
-        offset: u32,
-    },
-    Branch {
-        cond: BranchCond,
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    Jal {
-        rd: u8,
-        target: u32,
-    },
-    Jalr {
-        rd: u8,
-        base: u8,
-        offset: u32,
-    },
-    Halt,
-    StreamLoad {
-        rd: u8,
-        sid: u8,
-        width: u8,
-    },
-    StreamStore {
-        sid: u8,
-        width: u8,
-        rs: u8,
-    },
-    StreamAvail {
-        rd: u8,
-        sid: u8,
-    },
-    StreamEos {
-        rd: u8,
-        sid: u8,
-    },
-    BufSwap {
-        bank: u8,
-    },
-    CsrR {
-        rd: u8,
-        csr: u16,
-    },
+enum MulDivOp {
+    Mul,
+    Mulh,
+    Mulhu,
+    Div,
+    Divu,
+    Rem,
+    Remu,
+}
+
+impl MulDivOp {
+    /// Extra cycles beyond the base cycle, from the configured latency.
+    fn stall(self, cfg: &CoreConfig) -> u64 {
+        let latency = match self {
+            MulDivOp::Mul | MulDivOp::Mulh | MulDivOp::Mulhu => cfg.mul_cycles,
+            MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu => cfg.div_cycles,
+        };
+        latency.saturating_sub(1) as u64
+    }
 }
 
 /// Predecodes a program into the dense execution array the dispatch loop
@@ -163,32 +288,25 @@ fn predecode(program: &Program, cfg: &CoreConfig) -> Box<[Slot]> {
         .instrs()
         .iter()
         .map(|&i| match i {
-            Instr::Alu { op, rd, rs1, rs2 } if op.is_muldiv() => {
-                let lat = if matches!(op, AluOp::Mul | AluOp::Mulh | AluOp::Mulhu) {
-                    cfg.mul_cycles
-                } else {
-                    cfg.div_cycles
-                };
-                Slot::MulDiv {
+            Instr::Alu { op, rd, rs1, rs2 } => {
+                let (rd, rs1, rs2) = (rd.index(), rs1.index(), rs2.index());
+                alu_slot(op, rd, rs1, rs2).unwrap_or_else(|op| Slot::MulDiv {
                     op,
-                    rd: rd.index(),
-                    rs1: rs1.index(),
-                    rs2: rs2.index(),
-                    stall: lat.saturating_sub(1) as u64,
-                }
+                    rd,
+                    rs1,
+                    rs2,
+                    stall: op.stall(cfg),
+                })
             }
-            Instr::Alu { op, rd, rs1, rs2 } => Slot::Alu {
-                op,
-                rd: rd.index(),
-                rs1: rs1.index(),
-                rs2: rs2.index(),
-            },
-            Instr::AluImm { op, rd, rs1, imm } => Slot::AluImm {
-                op,
-                rd: rd.index(),
-                rs1: rs1.index(),
-                imm: imm as u32,
-            },
+            Instr::AluImm { op, rd, rs1, imm } => {
+                let (rd, rs1, imm) = (rd.index(), rs1.index(), imm as u32);
+                alu_imm_slot(op, rd, rs1, imm).unwrap_or_else(|op| Slot::MulDivImm {
+                    op,
+                    rd,
+                    rs1,
+                    imm,
+                })
+            }
             Instr::Lui { rd, imm } => Slot::Lui {
                 rd: rd.index(),
                 imm: imm << 12,
@@ -607,14 +725,7 @@ impl Core {
         // Base cost: one cycle, charged up front; stalls add on top.
         self.cycle += 1;
 
-        match slot {
-            Slot::Alu { op, rd, rs1, rs2 } => {
-                let a = self.regs[rs1 as usize];
-                let b = self.regs[rs2 as usize];
-                let v = alu_eval(op, a, b);
-                self.set_reg_idx(rd, v);
-                self.mix.alu += 1;
-            }
+        alu_ops!(dispatch! { self, slot,
             Slot::MulDiv {
                 op,
                 rd,
@@ -624,16 +735,14 @@ impl Core {
             } => {
                 let a = self.regs[rs1 as usize];
                 let b = self.regs[rs2 as usize];
-                let v = alu_eval(op, a, b);
-                self.set_reg_idx(rd, v);
+                self.set_reg_idx(rd, muldiv_eval(op, a, b));
                 self.mix.muldiv += 1;
                 self.breakdown.busy += stall;
                 self.cycle += stall;
             }
-            Slot::AluImm { op, rd, rs1, imm } => {
+            Slot::MulDivImm { op, rd, rs1, imm } => {
                 let a = self.regs[rs1 as usize];
-                let v = alu_eval(op, a, imm);
-                self.set_reg_idx(rd, v);
+                self.set_reg_idx(rd, muldiv_eval(op, a, imm));
                 self.mix.alu += 1;
             }
             Slot::Lui { rd, imm } => {
@@ -649,13 +758,15 @@ impl Core {
             } => {
                 self.mix.loads += 1;
                 let addr = self.regs[base as usize].wrapping_add(offset) as u64;
-                match self.mem_load(env, addr, width as u32, self.issue_at(issue_cycle)) {
+                let width = width as u32;
+                let loaded = if addr < layout::DRAM_BASE {
+                    self.scratchpad_load(addr, width)
+                } else {
+                    self.mem_load(env, addr, width, self.issue_at(issue_cycle))
+                };
+                match loaded {
                     Ok(raw) => {
-                        let v = if signed {
-                            sign_extend(raw, width as u32)
-                        } else {
-                            raw
-                        };
+                        let v = if signed { sign_extend(raw, width) } else { raw };
                         self.set_reg_idx(rd, v);
                     }
                     Err(msg) => {
@@ -673,9 +784,13 @@ impl Core {
                 self.mix.stores += 1;
                 let addr = self.regs[base as usize].wrapping_add(offset) as u64;
                 let value = self.regs[rs as usize];
-                if let Err(msg) =
-                    self.mem_store(env, addr, width as u32, value, self.issue_at(issue_cycle))
-                {
+                let width = width as u32;
+                let stored = if addr < layout::DRAM_BASE {
+                    self.scratchpad_store(addr, width, value)
+                } else {
+                    self.mem_store(env, addr, width, value, self.issue_at(issue_cycle))
+                };
+                if let Err(msg) = stored {
                     self.wedge(msg);
                     return;
                 }
@@ -720,7 +835,23 @@ impl Core {
             }
             Slot::StreamLoad { rd, sid, width } => {
                 self.mix.stream_loads += 1;
-                match self.stream_load(env, sid as u32, width as u32, self.issue_at(issue_cycle)) {
+                let (sid, width) = (sid as u32, width as u32);
+                let issue = self.issue_at(issue_cycle);
+                // Fast arm: a word inside the head page that does not
+                // finish it; everything else takes `stream_load`.
+                let head = match &mut self.path {
+                    DataPath::Stream(sbuf) => sbuf.read_in_head_page(sid, width, issue),
+                    _ => None,
+                };
+                let loaded = match head {
+                    Some((value, ready)) => {
+                        let stall = self.stall_cycles(issue, ready);
+                        self.charge(stall, |b| &mut b.stall_stream);
+                        Ok(Some(value as u32))
+                    }
+                    None => self.stream_load(env, sid, width, issue),
+                };
+                match loaded {
                     Ok(Some(v)) => self.set_reg_idx(rd, v),
                     Ok(None) => return, // halted on exhausted stream
                     Err(msg) => {
@@ -731,16 +862,21 @@ impl Core {
             }
             Slot::StreamStore { sid, width, rs } => {
                 self.mix.stream_stores += 1;
+                let (sid, width) = (sid as u32, width as u32);
                 let value = self.regs[rs as usize];
-                if let Err(msg) = self.stream_store(
-                    env,
-                    sid as u32,
-                    width as u32,
-                    value,
-                    self.issue_at(issue_cycle),
-                ) {
-                    self.wedge(msg);
-                    return;
+                // Fast arm: a word inside the page under assembly that
+                // does not complete it is ready at once (no stall);
+                // everything else takes `stream_store`.
+                let mid = match &mut self.path {
+                    DataPath::Stream(sbuf) => sbuf.write_mid_page(sid, width, value as u64),
+                    _ => None,
+                };
+                if mid.is_none() {
+                    let issue = self.issue_at(issue_cycle);
+                    if let Err(msg) = self.stream_store(env, sid, width, value, issue) {
+                        self.wedge(msg);
+                        return;
+                    }
                 }
             }
             Slot::StreamAvail { rd, sid } => {
@@ -777,7 +913,7 @@ impl Core {
                 let v = self.read_csr(num);
                 self.set_reg_idx(rd, v);
             }
-        }
+        });
         self.pc = next_pc;
     }
 
@@ -802,6 +938,37 @@ impl Core {
 
     // ------------------------------------------------------------- memory
 
+    /// Charges the scratchpad's (and the staging banks') extra access
+    /// cycles.
+    #[inline(always)]
+    fn charge_scratchpad(&mut self) {
+        let extra = self.cfg.scratchpad_cycles.saturating_sub(1) as u64;
+        self.charge(extra, |b| &mut b.stall_scratchpad);
+    }
+
+    /// A load below [`layout::DRAM_BASE`]: the scratchpad.
+    #[inline(always)]
+    fn scratchpad_load(&mut self, addr: u64, width: u32) -> Result<u32, String> {
+        let v = self
+            .scratchpad
+            .load(addr, width)
+            .map_err(|e| format!("scratchpad load failed: {e}"))?;
+        self.charge_scratchpad();
+        Ok(v as u32)
+    }
+
+    /// A store below [`layout::DRAM_BASE`]: the scratchpad.
+    #[inline(always)]
+    fn scratchpad_store(&mut self, addr: u64, width: u32, value: u32) -> Result<(), String> {
+        self.scratchpad
+            .store(addr, width, value as u64)
+            .map_err(|e| format!("scratchpad store failed: {e}"))?;
+        self.charge_scratchpad();
+        Ok(())
+    }
+
+    /// A load at or above [`layout::DRAM_BASE`]: the DRAM window or the
+    /// input staging bank.
     fn mem_load(
         &mut self,
         env: &mut dyn StreamEnv,
@@ -814,53 +981,42 @@ impl Core {
         }
         if addr >= layout::STAGING_IN_BASE {
             let off = addr - layout::STAGING_IN_BASE;
-            let staging = self.path.staging()?;
-            if off as usize + width as usize > staging.in_len() {
-                return Err(format!("staging load past bank length at {off:#x}"));
-            }
-            let v = staging.load_in(off, width);
-            let extra = self.cfg.scratchpad_cycles.saturating_sub(1) as u64;
-            self.charge(extra, |b| &mut b.stall_scratchpad);
+            let v = self
+                .path
+                .staging()?
+                .load_in(off, width)
+                .ok_or_else(|| format!("staging load past bank length at {off:#x}"))?;
+            self.charge_scratchpad();
             return Ok(v);
         }
-        if addr >= layout::DRAM_BASE {
-            let off = addr - layout::DRAM_BASE;
-            let DataPath::Mem { hierarchy, window } = &mut self.path else {
-                return Err(NO_DRAM.into());
-            };
-            if !window.contains(off, width) {
-                return Err(format!("DRAM load outside window at {off:#x}"));
-            }
-            let pc = self.pc as u64;
-            let (complete, served) =
-                hierarchy.access(env.dram(), AccessKind::Load, pc, off, width, issue);
-            let value = window.load(off, width);
-            let avail = window.avail_at(off);
-            let stall = self.stall_cycles(issue, complete);
-            let bucket: fn(&mut CycleBreakdown) -> &mut u64 = match served {
-                ServedBy::L1 => |b| &mut b.stall_l1,
-                ServedBy::L2 => |b| &mut b.stall_l2,
-                ServedBy::Dram | ServedBy::Prefetch => |b| &mut b.stall_dram,
-            };
-            self.charge(stall, bucket);
-            // Wait further if the firmware has not staged the page yet.
-            if avail > complete {
-                let extra = self.stall_cycles(issue, avail).saturating_sub(stall);
-                self.charge(extra, |b| &mut b.stall_stream);
-            }
-            return Ok(value);
+        let off = addr - layout::DRAM_BASE;
+        let DataPath::Mem { hierarchy, window } = &mut self.path else {
+            return Err(NO_DRAM.into());
+        };
+        let value = window
+            .load(off, width)
+            .ok_or_else(|| format!("DRAM load outside window at {off:#x}"))?;
+        let pc = self.pc as u64;
+        let (complete, served) =
+            hierarchy.access(env.dram(), AccessKind::Load, pc, off, width, issue);
+        let avail = window.avail_at(off);
+        let stall = self.stall_cycles(issue, complete);
+        let bucket: fn(&mut CycleBreakdown) -> &mut u64 = match served {
+            ServedBy::L1 => |b| &mut b.stall_l1,
+            ServedBy::L2 => |b| &mut b.stall_l2,
+            ServedBy::Dram | ServedBy::Prefetch => |b| &mut b.stall_dram,
+        };
+        self.charge(stall, bucket);
+        // Wait further if the firmware has not staged the page yet.
+        if avail > complete {
+            let extra = self.stall_cycles(issue, avail).saturating_sub(stall);
+            self.charge(extra, |b| &mut b.stall_stream);
         }
-        // Scratchpad.
-        match self.scratchpad.load(addr, width) {
-            Ok(v) => {
-                let extra = self.cfg.scratchpad_cycles.saturating_sub(1) as u64;
-                self.charge(extra, |b| &mut b.stall_scratchpad);
-                Ok(v as u32)
-            }
-            Err(e) => Err(format!("scratchpad load failed: {e}")),
-        }
+        Ok(value)
     }
 
+    /// A store at or above [`layout::DRAM_BASE`]: the DRAM window or the
+    /// output staging bank.
     fn mem_store(
         &mut self,
         env: &mut dyn StreamEnv,
@@ -871,39 +1027,27 @@ impl Core {
     ) -> Result<(), String> {
         if addr >= layout::STAGING_OUT_BASE {
             let off = addr - layout::STAGING_OUT_BASE;
-            let staging = self.path.staging()?;
-            if off as usize + width as usize > staging.bank_bytes() as usize {
-                return Err(format!("staging store past bank at {off:#x}"));
-            }
-            staging.store_out(off, width, value);
-            let extra = self.cfg.scratchpad_cycles.saturating_sub(1) as u64;
-            self.charge(extra, |b| &mut b.stall_scratchpad);
+            self.path
+                .staging()?
+                .store_out(off, width, value)
+                .ok_or_else(|| format!("staging store past bank at {off:#x}"))?;
+            self.charge_scratchpad();
             return Ok(());
         }
         if addr >= layout::STAGING_IN_BASE {
             return Err(format!("store into input staging window {addr:#x}"));
         }
-        if addr >= layout::DRAM_BASE {
-            let off = addr - layout::DRAM_BASE;
-            let DataPath::Mem { hierarchy, window } = &mut self.path else {
-                return Err(NO_DRAM.into());
-            };
-            if !window.contains(off, width) {
-                return Err(format!("DRAM store outside window at {off:#x}"));
-            }
-            window.store(off, width, value);
-            let pc = self.pc as u64;
-            let (complete, _) =
-                hierarchy.access(env.dram(), AccessKind::Store, pc, off, width, issue);
-            let stall = self.stall_cycles(issue, complete);
-            self.charge(stall, |b| &mut b.stall_l1);
-            return Ok(());
-        }
-        self.scratchpad
-            .store(addr, width, value as u64)
-            .map_err(|e| format!("scratchpad store failed: {e}"))?;
-        let extra = self.cfg.scratchpad_cycles.saturating_sub(1) as u64;
-        self.charge(extra, |b| &mut b.stall_scratchpad);
+        let off = addr - layout::DRAM_BASE;
+        let DataPath::Mem { hierarchy, window } = &mut self.path else {
+            return Err(NO_DRAM.into());
+        };
+        window
+            .store(off, width, value)
+            .ok_or_else(|| format!("DRAM store outside window at {off:#x}"))?;
+        let pc = self.pc as u64;
+        let (complete, _) = hierarchy.access(env.dram(), AccessKind::Store, pc, off, width, issue);
+        let stall = self.stall_cycles(issue, complete);
+        self.charge(stall, |b| &mut b.stall_l1);
         Ok(())
     }
 
@@ -1028,22 +1172,12 @@ fn sign_extend(v: u32, width: u32) -> u32 {
 
 #[allow(clippy::manual_checked_ops)] // RISC-V semantics spelled explicitly
 #[inline(always)]
-fn alu_eval(op: AluOp, a: u32, b: u32) -> u32 {
+fn muldiv_eval(op: MulDivOp, a: u32, b: u32) -> u32 {
     match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Sll => a.wrapping_shl(b & 31),
-        AluOp::Slt => ((a as i32) < (b as i32)) as u32,
-        AluOp::Sltu => (a < b) as u32,
-        AluOp::Xor => a ^ b,
-        AluOp::Srl => a.wrapping_shr(b & 31),
-        AluOp::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Mulh => (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32,
-        AluOp::Mulhu => (((a as u64) * (b as u64)) >> 32) as u32,
-        AluOp::Div => {
+        MulDivOp::Mul => a.wrapping_mul(b),
+        MulDivOp::Mulh => (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32,
+        MulDivOp::Mulhu => (((a as u64) * (b as u64)) >> 32) as u32,
+        MulDivOp::Div => {
             if b == 0 {
                 u32::MAX
             } else if a == i32::MIN as u32 && b == u32::MAX {
@@ -1052,14 +1186,14 @@ fn alu_eval(op: AluOp, a: u32, b: u32) -> u32 {
                 ((a as i32) / (b as i32)) as u32
             }
         }
-        AluOp::Divu => {
+        MulDivOp::Divu => {
             if b == 0 {
                 u32::MAX
             } else {
                 a / b
             }
         }
-        AluOp::Rem => {
+        MulDivOp::Rem => {
             if b == 0 {
                 a
             } else if a == i32::MIN as u32 && b == u32::MAX {
@@ -1068,7 +1202,7 @@ fn alu_eval(op: AluOp, a: u32, b: u32) -> u32 {
                 ((a as i32) % (b as i32)) as u32
             }
         }
-        AluOp::Remu => {
+        MulDivOp::Remu => {
             if b == 0 {
                 a
             } else {
@@ -1246,6 +1380,39 @@ mod tests {
             "input-bound run must be dominated by stream stalls: {:?}",
             core.breakdown()
         );
+    }
+
+    #[test]
+    fn odd_widths_on_the_dram_window_do_not_panic() {
+        // `Program::from_instrs` takes any width; an 8-byte word reads
+        // its low 32 bits and a 3-byte one wedges, as on the scratchpad.
+        let load = |width| {
+            let instrs = vec![
+                Instr::Lui {
+                    rd: Reg::S0,
+                    imm: (layout::DRAM_BASE >> 12) as u32,
+                },
+                Instr::Load {
+                    width,
+                    signed: false,
+                    rd: Reg::A0,
+                    base: Reg::S0,
+                    offset: 0,
+                },
+                Instr::Halt,
+            ];
+            let program = Program::from_instrs("odd-width", instrs);
+            let mut core = Core::new(0, CoreConfig::baseline(), program);
+            let mut w = DramWindow::new(1, 8, 0, 4096);
+            w.stage(0, 0, &[1, 2, 3, 4, 5, 6, 7, 8], SimTime::ZERO);
+            core.launch_mem(w).unwrap();
+            core.run_to_halt(&mut NullEnv::default());
+            core
+        };
+        let wide = load(8);
+        assert_eq!(wide.state(), &CoreState::Halted);
+        assert_eq!(wide.reg(Reg::A0), 0x0403_0201);
+        assert!(matches!(load(3).state(), CoreState::Wedged(_)));
     }
 
     #[test]
@@ -1461,6 +1628,60 @@ mod more_tests {
         assert_eq!(core.reg(Reg::A0), u32::MAX);
         let expect = ((0xFFFF_FFFEu64 * 3) >> 32) as u32;
         assert_eq!(core.reg(Reg::A1), expect);
+    }
+
+    #[test]
+    fn every_alu_op_agrees_in_both_forms() {
+        use AluOp::*;
+        let cfg = CoreConfig::assasin_sb();
+        for op in [
+            Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Mul, Mulh, Mulhu, Div, Divu, Rem,
+            Remu,
+        ] {
+            let (rd, rs1) = (Reg::A0, Reg::T0);
+            let program = Program::from_instrs(
+                "alu",
+                vec![
+                    Instr::AluImm {
+                        op: Add,
+                        rd: rs1,
+                        rs1: Reg::ZERO,
+                        imm: -7,
+                    },
+                    Instr::AluImm {
+                        op: Add,
+                        rd: Reg::T1,
+                        rs1: Reg::ZERO,
+                        imm: 3,
+                    },
+                    Instr::Alu {
+                        op,
+                        rd,
+                        rs1,
+                        rs2: Reg::T1,
+                    },
+                    Instr::AluImm {
+                        op,
+                        rd: Reg::A1,
+                        rs1,
+                        imm: 3,
+                    },
+                    Instr::Halt,
+                ],
+            );
+            let mut core = Core::new(0, cfg, program);
+            core.run_to_halt(&mut NullEnv::default());
+            assert_eq!(core.reg(rd), core.reg(Reg::A1), "{op:?}");
+            // Only the register form of an M-extension op is multi-cycle.
+            let stall = match op {
+                Mul | Mulh | Mulhu => cfg.mul_cycles - 1,
+                Div | Divu | Rem | Remu => cfg.div_cycles - 1,
+                _ => 0,
+            };
+            assert_eq!(core.cycles(), 5 + stall as u64, "{op:?}");
+            let muldiv = op.is_muldiv() as u64;
+            assert_eq!((core.mix().alu, core.mix().muldiv), (4 - muldiv, muldiv));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The backing stores of the core's storage-data regions.
 
 use assasin_isa::{layout, LaunchInfo};
+use assasin_mem::word;
 use assasin_sim::SimTime;
 use bytes::Bytes;
 
@@ -101,33 +102,20 @@ impl DramWindow {
         self.avail.get(p).copied().unwrap_or(SimTime::ZERO)
     }
 
-    /// Loads `width` (1, 2 or 4) bytes little-endian.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-window access (callers check
-    /// [`DramWindow::contains`] first).
-    pub fn load(&self, offset: u64, width: u32) -> u32 {
-        let start = offset as usize;
-        let mut buf = [0u8; 4];
-        buf[..width as usize].copy_from_slice(&self.data[start..start + width as usize]);
-        u32::from_le_bytes(buf)
+    /// Loads the `width`-byte (1, 2 or 4) little-endian word at `offset`;
+    /// `None` outside the window.
+    #[inline]
+    pub fn load(&self, offset: u64, width: u32) -> Option<u32> {
+        let at = usize::try_from(offset).ok()?;
+        word::load_le(&self.data, at, width).map(|v| v as u32)
     }
 
-    /// Stores the low `width` bytes of `value` little-endian.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-window access.
-    pub fn store(&mut self, offset: u64, width: u32, value: u32) {
-        let start = offset as usize;
-        self.data[start..start + width as usize]
-            .copy_from_slice(&value.to_le_bytes()[..width as usize]);
-    }
-
-    /// True if `offset..offset+width` fits the window.
-    pub fn contains(&self, offset: u64, width: u32) -> bool {
-        offset + width as u64 <= self.data.len() as u64
+    /// Stores the low `width` bytes of `value` little-endian at `offset`;
+    /// `None`, with nothing written, outside the window.
+    #[inline]
+    pub fn store(&mut self, offset: u64, width: u32, value: u32) -> Option<()> {
+        let at = usize::try_from(offset).ok()?;
+        word::store_le(&mut self.data, at, width, value as u64)
     }
 }
 
@@ -169,11 +157,6 @@ impl PingPong {
         }
     }
 
-    /// Bank capacity in bytes.
-    pub fn bank_bytes(&self) -> u32 {
-        self.bank_bytes
-    }
-
     /// Installs the next input bank (after a `BufSwap`).
     pub fn install_input(&mut self, data: Bytes) {
         assert!(data.len() <= self.bank_bytes as usize, "bank overflow");
@@ -193,37 +176,24 @@ impl PingPong {
         self.in_len
     }
 
-    /// Loads from the current input bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics past the bank's valid length (kernels must honor the length
-    /// CSR).
-    pub fn load_in(&self, offset: u64, width: u32) -> u32 {
-        let start = offset as usize;
-        assert!(
-            start + width as usize <= self.in_len,
-            "read past input bank length"
-        );
-        let mut buf = [0u8; 4];
-        buf[..width as usize].copy_from_slice(&self.in_bank[start..start + width as usize]);
-        u32::from_le_bytes(buf)
+    /// Loads the `width`-byte little-endian word at `offset` of the
+    /// current input bank; `None` past its valid length (kernels must
+    /// honor the length CSR).
+    #[inline]
+    pub fn load_in(&self, offset: u64, width: u32) -> Option<u32> {
+        let at = usize::try_from(offset).ok()?;
+        let valid = self.in_bank.get(..self.in_len)?;
+        word::load_le(valid, at, width).map(|v| v as u32)
     }
 
-    /// Stores into the output bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics past the bank capacity.
-    pub fn store_out(&mut self, offset: u64, width: u32, value: u32) {
-        let start = offset as usize;
-        assert!(
-            start + width as usize <= self.out_bank.len(),
-            "write past output bank"
-        );
-        self.out_bank[start..start + width as usize]
-            .copy_from_slice(&value.to_le_bytes()[..width as usize]);
-        self.out_high_water = self.out_high_water.max(start + width as usize);
+    /// Stores the low `width` bytes of `value` into the output bank;
+    /// `None`, with nothing written, past the bank capacity.
+    #[inline]
+    pub fn store_out(&mut self, offset: u64, width: u32, value: u32) -> Option<()> {
+        let at = usize::try_from(offset).ok()?;
+        word::store_le(&mut self.out_bank, at, width, value as u64)?;
+        self.out_high_water = self.out_high_water.max(at + width as usize);
+        Some(())
     }
 
     /// Takes the filled portion of the output bank for draining, resetting
@@ -269,19 +239,20 @@ mod tests {
         assert_eq!(w.avail_at(0), SimTime::ZERO);
         w.stage(1, 0, &[7; 4096], SimTime::from_us(3));
         assert_eq!(w.avail_at(5000), SimTime::from_us(3));
-        assert_eq!(w.load(4096, 4), 0x0707_0707);
+        assert_eq!(w.load(4096, 4), Some(0x0707_0707));
     }
 
     #[test]
     fn window_load_store_roundtrip() {
         let mut w = DramWindow::new(1, 0, 0, 64);
-        w.store(8, 4, 0xDEAD_BEEF);
-        assert_eq!(w.load(8, 4), 0xDEAD_BEEF);
-        assert_eq!(w.load(8, 2), 0xBEEF);
+        w.store(8, 4, 0xDEAD_BEEF).unwrap();
+        assert_eq!(w.load(8, 4), Some(0xDEAD_BEEF));
+        assert_eq!(w.load(8, 2), Some(0xBEEF));
         let out = w.output((layout::DRAM_BASE + 10) as u32).unwrap();
         assert_eq!(&out[8..], &[0xEF, 0xBE]);
-        assert!(w.contains(60, 4));
-        assert!(!w.contains(61, 4));
+        assert_eq!(w.load(60, 4), Some(0));
+        assert_eq!(w.load(61, 4), None, "a word past the window");
+        assert_eq!(w.store(61, 4, 1), None);
     }
 
     #[test]
@@ -296,28 +267,29 @@ mod tests {
         let mut pp = PingPong::new(16);
         pp.install_input(Bytes::from_static(&[1, 2, 3, 4]));
         assert_eq!(pp.in_len(), 4);
-        assert_eq!(pp.load_in(0, 4), u32::from_le_bytes([1, 2, 3, 4]));
+        assert_eq!(pp.load_in(0, 4), Some(u32::from_le_bytes([1, 2, 3, 4])));
         pp.set_exhausted();
         assert_eq!(pp.in_len(), 0);
+        assert_eq!(pp.load_in(0, 1), None, "an exhausted bank reads nothing");
     }
 
     #[test]
     fn pingpong_output_high_water() {
         let mut pp = PingPong::new(16);
-        pp.store_out(0, 4, 0x04030201);
-        pp.store_out(4, 1, 0xAA);
+        pp.store_out(0, 4, 0x04030201).unwrap();
+        pp.store_out(4, 1, 0xAA).unwrap();
+        assert_eq!(pp.store_out(14, 4, 0), None, "a word past the bank");
         let out = pp.take_output();
         assert_eq!(&out[..], &[1, 2, 3, 4, 0xAA]);
         // High-water resets after take.
-        pp.store_out(0, 1, 9);
+        pp.store_out(0, 1, 9).unwrap();
         assert_eq!(&pp.take_output()[..], &[9]);
     }
 
     #[test]
-    #[should_panic(expected = "past input bank length")]
-    fn reading_past_bank_length_panics() {
+    fn reading_past_bank_length_fails() {
         let mut pp = PingPong::new(16);
         pp.install_input(Bytes::from_static(&[1, 2]));
-        let _ = pp.load_in(1, 2);
+        assert_eq!(pp.load_in(1, 2), None);
     }
 }

@@ -7,7 +7,9 @@
 //! the same core run to halt in one call. And at every deadline the sliced
 //! core has retired exactly the instructions issued before it, no more and
 //! no fewer, which a reference run that retires one instruction per call
-//! pins instruction by instruction.
+//! pins instruction by instruction. Every load and store also pays the
+//! scratchpad's extra cycles, which one Stream-style configuration with
+//! a 2-cycle scratchpad makes nonzero.
 
 use crate::testutil::{pingpong_env, preloaded, stream_env, stream_output};
 use crate::{aes, query, raid, scan, stat, AccessStyle};
@@ -76,23 +78,39 @@ fn bytes(seed: u64, n: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The core configurations each kernel runs on: the two storage-side
+/// styles, plus a Stream-style core whose scratchpad takes 2 cycles, so
+/// sliced Stream runs also charge scratchpad stalls (AssasinSb's
+/// scratchpad takes 1).
+fn configs() -> [CoreConfig; 3] {
+    [
+        CoreConfig::assasin_sb(),
+        CoreConfig {
+            scratchpad_cycles: 2,
+            ..CoreConfig::assasin_sb()
+        },
+        CoreConfig::assasin_sp(),
+    ]
+}
+
 /// One launch: a fresh core and environment, identical on every call.
 struct Launch {
     kernel: Kernel,
-    style: AccessStyle,
+    cfg: CoreConfig,
     inputs: Vec<Vec<u8>>,
     rate: Option<f64>,
 }
 
 impl Launch {
+    fn style(&self) -> AccessStyle {
+        self.cfg.kind.style()
+    }
+
     fn start(&self) -> (Core, SyntheticEnv) {
         let refs: Vec<&[u8]> = self.inputs.iter().map(Vec::as_slice).collect();
-        let (cfg, mut env) = match self.style {
-            AccessStyle::Stream => (CoreConfig::assasin_sb(), stream_env(&refs)),
-            AccessStyle::PingPong => (
-                CoreConfig::assasin_sp(),
-                pingpong_env(&refs, self.kernel.tuple_bytes()),
-            ),
+        let mut env = match self.style() {
+            AccessStyle::Stream => stream_env(&refs),
+            AccessStyle::PingPong => pingpong_env(&refs, self.kernel.tuple_bytes()),
             AccessStyle::Mem => unreachable!("slicing covers the two storage-side styles"),
         };
         env.set_rate(self.rate);
@@ -100,12 +118,12 @@ impl Launch {
             Kernel::Aes => aes::scratchpad_image(&AES_KEY),
             _ => Vec::new(),
         };
-        let core = preloaded(cfg, self.kernel.program(self.style), &image);
+        let core = preloaded(self.cfg, self.kernel.program(self.style()), &image);
         (core, env)
     }
 
     fn output(&self, core: &mut Core, env: &mut SyntheticEnv) -> Vec<u8> {
-        match self.style {
+        match self.style() {
             AccessStyle::Stream => stream_output(core, env),
             _ => env.bank_output().to_vec(),
         }
@@ -210,6 +228,16 @@ fn check(launch: &Launch, k: u64) -> Result<(), String> {
             "one-instruction steps end in {stepped:?}, run_to_halt in {whole:?}"
         ));
     }
+    // Every load and store of a storage-side kernel reaches the
+    // scratchpad or a staging bank, and each pays the extra cycles.
+    let accesses = whole.mix.loads + whole.mix.stores;
+    let extra = launch.cfg.scratchpad_cycles.saturating_sub(1) as u64;
+    if whole.breakdown.stall_scratchpad != accesses * extra {
+        return Err(format!(
+            "{accesses} scratchpad accesses of {extra} extra cycles charged {} stall cycles",
+            whole.breakdown.stall_scratchpad
+        ));
+    }
 
     // A deadline every `k` cycles: at each one the core has retired
     // exactly the instructions issued before it.
@@ -261,13 +289,13 @@ proptest! {
             Kernel::Aes,
         ];
         for (i, kernel) in kernels.into_iter().enumerate() {
-            for style in [AccessStyle::Stream, AccessStyle::PingPong] {
+            for cfg in configs() {
                 // AES retires ~70 instructions per byte: fewer blocks.
                 let n = if let Kernel::Aes = kernel { tuples.div_ceil(4) } else { tuples };
                 let len = n * kernel.tuple_bytes();
                 let launch = Launch {
                     kernel,
-                    style,
+                    cfg,
                     inputs: (0..kernel.streams())
                         .map(|s| bytes(seed ^ (((i * 8 + s) as u64) << 56), len))
                         .collect(),
@@ -276,7 +304,10 @@ proptest! {
                     rate: slow.then_some(0.5e9),
                 };
                 if let Err(why) = check(&launch, k) {
-                    return Err(format!("{kernel:?} {style:?}, {len} B, k = {k}: {why}"));
+                    let (style, sp) = (launch.style(), cfg.scratchpad_cycles);
+                    return Err(format!(
+                        "{kernel:?} {style:?} (scratchpad {sp} cycles), {len} B, k = {k}: {why}"
+                    ));
                 }
             }
         }

@@ -14,6 +14,8 @@
 //! * [`StreamBuffer`] — the ASSASIN streambuffer: `S` streams, each a
 //!   circular buffer of `P` flash pages with Head/Tail CSRs (Figure 8),
 //!   plus output-side drain management.
+//! * [`word`] — the fixed-width little-endian word access all of them
+//!   share.
 //! * [`sram`] — an analytical SRAM timing/energy/area model standing in for
 //!   Cacti (Figures 20 and Table V).
 //!
@@ -39,6 +41,7 @@ mod prefetch;
 mod scratchpad;
 pub mod sram;
 mod streambuffer;
+pub mod word;
 
 pub use cache::{Cache, CacheGeometry};
 pub use dram::Dram;

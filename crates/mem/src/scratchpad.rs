@@ -1,6 +1,6 @@
 //! Scratchpad memory for function state (Figure 8).
 
-use crate::MemError;
+use crate::{word, MemError};
 
 /// A software-managed scratchpad tightly coupled to the core pipeline.
 ///
@@ -48,14 +48,12 @@ impl Scratchpad {
     /// # Errors
     ///
     /// Out-of-bounds accesses and unsupported widths fail.
+    #[inline]
     pub fn load(&self, addr: u64, width: u32) -> Result<u64, MemError> {
-        if !matches!(width, 1 | 2 | 4 | 8) {
-            return Err(MemError::BadWidth(width));
-        }
-        let base = self.check(addr, width)?;
-        let mut buf = [0u8; 8];
-        buf[..width as usize].copy_from_slice(&self.data[base..base + width as usize]);
-        Ok(u64::from_le_bytes(buf))
+        usize::try_from(addr)
+            .ok()
+            .and_then(|at| word::load_le(&self.data, at, width))
+            .ok_or_else(|| self.word_error(addr, width))
     }
 
     /// Stores the low `width` bytes (1, 2, 4 or 8) of `value` little-endian.
@@ -63,14 +61,25 @@ impl Scratchpad {
     /// # Errors
     ///
     /// Out-of-bounds accesses and unsupported widths fail.
+    #[inline]
     pub fn store(&mut self, addr: u64, width: u32, value: u64) -> Result<(), MemError> {
-        if !matches!(width, 1 | 2 | 4 | 8) {
-            return Err(MemError::BadWidth(width));
+        usize::try_from(addr)
+            .ok()
+            .and_then(|at| word::store_le(&mut self.data, at, width, value))
+            .ok_or_else(|| self.word_error(addr, width))
+    }
+
+    /// Why a word access failed: a bad width before a bad address.
+    #[cold]
+    fn word_error(&self, addr: u64, width: u32) -> MemError {
+        if matches!(width, 1 | 2 | 4 | 8) {
+            MemError::OutOfBounds {
+                addr,
+                size: self.data.len() as u64,
+            }
+        } else {
+            MemError::BadWidth(width)
         }
-        let base = self.check(addr, width)?;
-        self.data[base..base + width as usize]
-            .copy_from_slice(&value.to_le_bytes()[..width as usize]);
-        Ok(())
     }
 
     /// Bulk-copies `src` into the scratchpad at `addr` (firmware preloading

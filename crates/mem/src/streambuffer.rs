@@ -8,7 +8,7 @@
 //! The output side assembles `StreamStore` results into pages which the
 //! firmware drains to flash or DRAM; a full ring stalls the writer.
 
-use crate::MemError;
+use crate::{word, MemError};
 use assasin_sim::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -65,6 +65,16 @@ struct OutStream {
     pending: VecDeque<SimTime>,
     head: u64,
     tail: u64,
+}
+
+impl OutStream {
+    /// Hands the assembled bytes over for draining and starts an empty
+    /// page.
+    fn take_page(&mut self) -> Bytes {
+        let page = std::mem::take(&mut self.current);
+        self.head += page.len() as u64;
+        Bytes::from(page)
+    }
 }
 
 /// Outcome of a `StreamLoad` against the input side.
@@ -232,39 +242,52 @@ impl StreamBuffer {
     ///
     /// Fails on bad stream ids or widths. Data-availability conditions are
     /// reported in [`ReadOutcome`], not as errors.
+    #[inline]
     pub fn read(&mut self, sid: u32, width: u32, now: SimTime) -> Result<ReadOutcome, MemError> {
+        match self.read_in_head_page(sid, width, now) {
+            Some((value, ready)) => Ok(ReadOutcome::Data {
+                value,
+                ready,
+                freed_pages: 0,
+            }),
+            None => self.read_rest(sid, width, now),
+        }
+    }
+
+    /// The inline prefix of [`StreamBuffer::read`]: a valid word that sits
+    /// in the head page and does not finish it (the common sequential
+    /// `StreamLoad`) is one fixed-width load and a cursor bump. Returns
+    /// the value and its ready time (`now` or the page's arrival, if
+    /// later), exactly as `read` reports them with no page freed; `None`,
+    /// with nothing changed, for every other read.
+    #[inline]
+    pub fn read_in_head_page(
+        &mut self,
+        sid: u32,
+        width: u32,
+        now: SimTime,
+    ) -> Option<(u64, SimTime)> {
+        let s = self.ins.get_mut(sid as usize)?;
+        let page = s.queue.front_mut()?;
+        let end = page.offset + width as usize;
+        if end >= page.data.len() {
+            return None;
+        }
+        let value = word::load_le(&page.data, page.offset, width)?;
+        page.offset = end;
+        s.head += width as u64;
+        self.bytes_in += width as u64;
+        Some((value, now.max(page.avail)))
+    }
+
+    /// The out-of-line remainder of [`StreamBuffer::read`]: bad ids and
+    /// widths, blocked and exhausted streams, and words that finish or
+    /// span pages (the ring slots they free are reported).
+    #[cold]
+    #[inline(never)]
+    fn read_rest(&mut self, sid: u32, width: u32, now: SimTime) -> Result<ReadOutcome, MemError> {
         if !matches!(width, 1 | 2 | 4 | 8) {
             return Err(MemError::BadWidth(width));
-        }
-        let s = self
-            .ins
-            .get_mut(sid as usize)
-            .ok_or(MemError::BadStream(sid))?;
-        // Fast path: the whole word sits in the head page. Sequential
-        // word-at-a-time streaming (the common `StreamLoad` pattern) never
-        // re-walks the page queue or re-derives availability — one cursor
-        // bump against the cached head page per word.
-        if let Some(page) = s.queue.front_mut() {
-            let w = width as usize;
-            if page.data.len() - page.offset >= w {
-                let mut value = [0u8; 8];
-                value[..w].copy_from_slice(&page.data[page.offset..page.offset + w]);
-                let ready = now.max(page.avail);
-                page.offset += w;
-                let freed_pages = if page.offset == page.data.len() {
-                    s.queue.pop_front();
-                    1
-                } else {
-                    0
-                };
-                s.head += width as u64;
-                self.bytes_in += width as u64;
-                return Ok(ReadOutcome::Data {
-                    value: u64::from_le_bytes(value),
-                    ready,
-                    freed_pages,
-                });
-            }
         }
         let available = self.in_bytes_available(sid);
         let s = self.in_stream(sid)?;
@@ -314,7 +337,49 @@ impl StreamBuffer {
     /// # Errors
     ///
     /// Fails on bad stream ids or widths.
+    #[inline]
     pub fn write(
+        &mut self,
+        sid: u32,
+        width: u32,
+        value: u64,
+        now: SimTime,
+    ) -> Result<WriteOutcome, MemError> {
+        if self.write_mid_page(sid, width, value).is_some() {
+            return Ok(WriteOutcome {
+                ready: now,
+                completed_page: None,
+            });
+        }
+        self.write_rest(sid, width, value, now)
+    }
+
+    /// The inline prefix of [`StreamBuffer::write`]: a valid word that
+    /// lands inside the page under assembly and does not complete it
+    /// needs no ring-slot reclaim and no completion handoff (that page's
+    /// slot was claimed when its first word landed), so it is one
+    /// fixed-width store and a cursor bump, ready at once. `None`, with
+    /// nothing changed, for every other write.
+    #[inline]
+    pub fn write_mid_page(&mut self, sid: u32, width: u32, value: u64) -> Option<()> {
+        let page_bytes = self.cfg.page_bytes as usize;
+        let s = self.outs.get_mut(sid as usize)?;
+        if s.current.is_empty() || s.current.len() + width as usize >= page_bytes {
+            return None;
+        }
+        word::push_le(&mut s.current, width, value)?;
+        s.tail += width as u64;
+        self.bytes_out += width as u64;
+        Some(())
+    }
+
+    /// The out-of-line remainder of [`StreamBuffer::write`]: bad ids and
+    /// widths, the first word of a page (which needs a free ring slot:
+    /// drained slots are reclaimed, and a full ring stalls until the
+    /// oldest drain completes) and the word that completes a page.
+    #[cold]
+    #[inline(never)]
+    fn write_rest(
         &mut self,
         sid: u32,
         width: u32,
@@ -327,22 +392,7 @@ impl StreamBuffer {
         let page_bytes = self.cfg.page_bytes as usize;
         let pages = self.cfg.pages_per_stream as usize;
         let s = self.out_stream(sid)?;
-        // Fast path: the page under assembly was already slot-checked when
-        // its first word landed, and this word does not complete it — no
-        // ring-slot reclaim, no completion handoff, just the cursor bump.
-        if !s.current.is_empty() && s.current.len() + (width as usize) < page_bytes {
-            s.current
-                .extend_from_slice(&value.to_le_bytes()[..width as usize]);
-            s.tail += width as u64;
-            self.bytes_out += width as u64;
-            return Ok(WriteOutcome {
-                ready: now,
-                completed_page: None,
-            });
-        }
         let mut ready = now;
-        // Starting a fresh page requires a free ring slot; reclaim drained
-        // slots, then stall on the oldest drain if all are pending.
         if s.current.is_empty() {
             while let Some(&front) = s.pending.front() {
                 if front <= now {
@@ -352,20 +402,14 @@ impl StreamBuffer {
                 }
             }
             if s.pending.len() >= pages {
-                ready = *s.pending.front().expect("non-empty");
-                s.pending.pop_front();
+                ready = s.pending.pop_front().unwrap_or(now);
             }
         }
-        s.current
-            .extend_from_slice(&value.to_le_bytes()[..width as usize]);
+        word::push_le(&mut s.current, width, value).ok_or(MemError::BadWidth(width))?;
         s.tail += width as u64;
-        let completed_page = if s.current.len() >= page_bytes {
-            let page = std::mem::take(&mut s.current);
-            s.head += page.len() as u64;
-            Some(Bytes::from(page))
-        } else {
-            None
-        };
+        // A word that crosses the page end lands whole, so the page it
+        // completes may run past `page_bytes`.
+        let completed_page = (s.current.len() >= page_bytes).then(|| s.take_page());
         self.bytes_out += width as u64;
         Ok(WriteOutcome {
             ready,
@@ -393,12 +437,7 @@ impl StreamBuffer {
     /// Fails on a bad stream id.
     pub fn flush(&mut self, sid: u32) -> Result<Option<Bytes>, MemError> {
         let s = self.out_stream(sid)?;
-        if s.current.is_empty() {
-            return Ok(None);
-        }
-        let page = std::mem::take(&mut s.current);
-        s.head += page.len() as u64;
-        Ok(Some(Bytes::from(page)))
+        Ok((!s.current.is_empty()).then(|| s.take_page()))
     }
 
     /// Head/Tail CSRs of an output stream.
