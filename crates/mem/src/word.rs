@@ -9,7 +9,7 @@
 /// Reads the `width`-byte (1, 2, 4 or 8) little-endian word at byte
 /// `at` of `bytes`. `None` for any other width or a word that does not
 /// fit.
-#[inline]
+#[inline(always)]
 pub fn load_le(bytes: &[u8], at: usize, width: u32) -> Option<u64> {
     let tail = bytes.get(at..)?;
     Some(match width {
@@ -24,7 +24,7 @@ pub fn load_le(bytes: &[u8], at: usize, width: u32) -> Option<u64> {
 /// Writes the low `width` bytes (1, 2, 4 or 8) of `value` little-endian
 /// at byte `at` of `bytes`. `None`, with nothing written, for any other
 /// width or a word that does not fit.
-#[inline]
+#[inline(always)]
 pub fn store_le(bytes: &mut [u8], at: usize, width: u32, value: u64) -> Option<()> {
     let tail = bytes.get_mut(at..)?;
     match width {
