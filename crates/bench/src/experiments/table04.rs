@@ -2,6 +2,7 @@
 
 use crate::report;
 use assasin_core::{CoreConfig, EngineKind};
+use assasin_mem::CacheGeometry;
 use serde::Serialize;
 use std::fmt;
 
@@ -27,20 +28,21 @@ pub struct Table04Report {
     pub rows: Vec<ConfigRow>,
 }
 
+/// One cache of Table IV, e.g. `L1D 32KB/8W`.
+fn cache(name: &str, g: CacheGeometry) -> String {
+    format!("{name} {}KB/{}W", g.size_bytes >> 10, g.ways)
+}
+
 fn mem_arch(cfg: &CoreConfig) -> String {
     let mut parts = Vec::new();
-    if let Some(h) = cfg.hierarchy {
-        if let Some(l1) = h.l1 {
-            parts.push(format!("L1D {}KB/{}W", l1.size_bytes >> 10, l1.ways));
-        }
-        if let Some(l2) = h.l2 {
-            parts.push(format!("L2 {}KB/{}W", l2.size_bytes >> 10, l2.ways));
-        }
-        if h.prefetch {
-            parts.push("DCPT prefetcher".into());
-        }
-    }
     match cfg.kind {
+        EngineKind::Baseline | EngineKind::Prefetch => {
+            parts.push(cache("L1D", CacheGeometry::L1D));
+            parts.push(cache("L2", CacheGeometry::L2));
+            if cfg.kind == EngineKind::Prefetch {
+                parts.push("DCPT prefetcher".into());
+            }
+        }
         EngineKind::AssasinSp => {
             parts.push(format!("{}KB scratchpad", cfg.scratchpad_bytes >> 10));
             parts.push(format!(
@@ -50,6 +52,9 @@ fn mem_arch(cfg: &CoreConfig) -> String {
             ));
         }
         EngineKind::AssasinSb | EngineKind::AssasinSbCache => {
+            if cfg.kind == EngineKind::AssasinSbCache {
+                parts.push(cache("L1D", CacheGeometry::L1D));
+            }
             parts.push(format!("{}KB scratchpad", cfg.scratchpad_bytes >> 10));
             let sb = cfg.streambuffer;
             parts.push(format!(
@@ -63,7 +68,6 @@ fn mem_arch(cfg: &CoreConfig) -> String {
         EngineKind::Udp => {
             parts.push(format!("{}KB lane scratchpad", cfg.scratchpad_bytes >> 10));
         }
-        _ => {}
     }
     parts.join(", ")
 }
@@ -130,5 +134,7 @@ mod tests {
         assert!(sb.data_source.contains("Flash"));
         let base = t.rows.iter().find(|r| r.engine == "Baseline").unwrap();
         assert!(base.mem_arch.contains("L2 256KB/16W"));
+        let sbc = t.rows.iter().find(|r| r.engine == "AssasinSb$").unwrap();
+        assert!(sbc.mem_arch.starts_with("L1D 32KB/8W, 64KB scratchpad"));
     }
 }

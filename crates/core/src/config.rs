@@ -1,7 +1,7 @@
 //! Table IV configurations.
 
 use assasin_isa::AccessStyle;
-use assasin_mem::{HierarchyConfig, StreamBufferConfig};
+use assasin_mem::StreamBufferConfig;
 use assasin_sim::Clock;
 
 /// Which in-SSD compute-engine architecture a core models (Table IV).
@@ -86,10 +86,6 @@ pub struct CoreConfig {
     pub scratchpad_cycles: u32,
     /// Streambuffer shape (Sb variants).
     pub streambuffer: StreamBufferConfig,
-    /// Cache hierarchy: the data path of Baseline and Prefetch cores.
-    /// Sb$ lists its L1D here for Tables IV and V, but its cores run on
-    /// the streambuffer and never reach it.
-    pub hierarchy: Option<HierarchyConfig>,
     /// Ping-pong staging bank size in bytes (Sp variant): 64 KiB input +
     /// 64 KiB output.
     pub staging_bytes: u32,
@@ -109,7 +105,6 @@ impl CoreConfig {
             scratchpad_bytes: 64 * 1024,
             scratchpad_cycles: 1,
             streambuffer: StreamBufferConfig::default(),
-            hierarchy: None,
             staging_bytes: 64 * 1024,
             branch_penalty: 2,
             mul_cycles: 3,
@@ -117,20 +112,16 @@ impl CoreConfig {
         }
     }
 
-    /// Table IV `Baseline`: L1D 32K/8way + L2 256K/16way over DRAM.
+    /// Table IV `Baseline`: L1D 32K/8way + L2 256K/16way over DRAM
+    /// ([`MemHierarchy`](assasin_mem::MemHierarchy), built by
+    /// [`Core::new`](crate::Core::new) from the kind).
     pub fn baseline() -> CoreConfig {
-        CoreConfig {
-            hierarchy: Some(HierarchyConfig::baseline()),
-            ..CoreConfig::common(EngineKind::Baseline)
-        }
+        CoreConfig::common(EngineKind::Baseline)
     }
 
     /// Table IV `Prefetch`: Baseline plus DCPT.
     pub fn prefetch() -> CoreConfig {
-        CoreConfig {
-            hierarchy: Some(HierarchyConfig::with_prefetcher()),
-            ..CoreConfig::common(EngineKind::Prefetch)
-        }
+        CoreConfig::common(EngineKind::Prefetch)
     }
 
     /// Table IV `AssasinSp`: 64 KiB function-state scratchpad plus
@@ -146,15 +137,9 @@ impl CoreConfig {
     }
 
     /// Table IV `AssasinSb$`: AssasinSb plus a 32 KiB 8-way L1D backed by
-    /// DRAM.
+    /// DRAM, which its cores never reach (see [`EngineKind::AssasinSbCache`]).
     pub fn assasin_sb_cache() -> CoreConfig {
-        CoreConfig {
-            hierarchy: Some(assasin_mem::HierarchyConfig {
-                l2: None,
-                ..assasin_mem::HierarchyConfig::baseline()
-            }),
-            ..CoreConfig::common(EngineKind::AssasinSbCache)
-        }
+        CoreConfig::common(EngineKind::AssasinSbCache)
     }
 
     /// Table IV `UDP`: 256 KiB private scratchpad, data copied in from
@@ -203,14 +188,9 @@ mod tests {
 
     #[test]
     fn table_iv_shapes() {
-        assert!(CoreConfig::baseline().hierarchy.is_some());
-        assert!(CoreConfig::baseline().hierarchy.unwrap().l2.is_some());
-        assert!(!CoreConfig::baseline().hierarchy.unwrap().prefetch);
-        assert!(CoreConfig::prefetch().hierarchy.unwrap().prefetch);
-        assert!(CoreConfig::assasin_sp().hierarchy.is_none());
-        assert!(CoreConfig::assasin_sb().hierarchy.is_none());
-        let sbc = CoreConfig::assasin_sb_cache().hierarchy.unwrap();
-        assert!(sbc.l1.is_some() && sbc.l2.is_none());
+        for kind in EngineKind::ALL {
+            assert_eq!(CoreConfig::for_kind(kind).kind, kind);
+        }
         assert_eq!(CoreConfig::udp().scratchpad_bytes, 256 * 1024);
     }
 

@@ -452,15 +452,15 @@ pub struct Core {
 }
 
 impl Core {
-    /// Builds a core. The Mem data path (Baseline, Prefetch) reaches DRAM
-    /// through the environment it runs in ([`StreamEnv::dram`]); its cache
+    /// Builds a core. The Mem data path (Baseline, Prefetch) gets Table
+    /// IV's L1D and L2, plus DCPT on Prefetch, and reaches DRAM through
+    /// the environment it runs in ([`StreamEnv::dram`]); its cache
     /// hierarchy models the LPDDR5 part's access latency.
     ///
     /// # Panics
     ///
-    /// Panics if a Baseline or Prefetch configuration has no cache
-    /// hierarchy, or if [`CoreConfig::kind`] is [`EngineKind::Udp`] (UDP
-    /// lanes are modeled by [`UdpLane`](crate::UdpLane), not by this
+    /// Panics if [`CoreConfig::kind`] is [`EngineKind::Udp`] (UDP lanes
+    /// are modeled by [`UdpLane`](crate::UdpLane), not by this
     /// interpreter).
     pub fn new(id: usize, cfg: CoreConfig, program: Program) -> Self {
         assert!(
@@ -470,12 +470,12 @@ impl Core {
         let mut l1_hit_stall = 0;
         let path = match cfg.kind.style() {
             AccessStyle::Mem => {
-                let Some(h) = cfg.hierarchy else {
-                    panic!("the Mem data path needs a cache hierarchy");
-                };
-                l1_hit_stall = cfg.clock.dur_to_cycles_ceil(h.l1_hit).saturating_sub(1);
+                l1_hit_stall = cfg
+                    .clock
+                    .dur_to_cycles_ceil(MemHierarchy::L1_HIT)
+                    .saturating_sub(1);
                 DataPath::Mem {
-                    hierarchy: MemHierarchy::new(h),
+                    hierarchy: MemHierarchy::new(cfg.kind == EngineKind::Prefetch),
                     window: DramWindow::default(),
                 }
             }
@@ -1540,7 +1540,7 @@ mod tests {
         let DataPath::Mem { hierarchy, .. } = core.data_path() else {
             panic!("Baseline runs on the Mem data path");
         };
-        let (hits, misses) = hierarchy.l1_counters().unwrap();
+        let (hits, misses) = hierarchy.l1_counters();
         assert_eq!((hits, misses), (1, 1));
     }
 
@@ -1663,8 +1663,8 @@ mod tests {
                 m.stream_loads,
                 m.stream_stores,
             ],
-            l1: hierarchy.l1_counters().unwrap(),
-            l2: hierarchy.l2_counters().unwrap(),
+            l1: hierarchy.l1_counters(),
+            l2: hierarchy.l2_counters(),
             prefetch: hierarchy.prefetch_counters(),
             dram_bytes: env.dram().bytes_moved(),
         }

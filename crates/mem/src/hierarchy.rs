@@ -28,100 +28,79 @@ pub enum AccessKind {
     Store,
 }
 
-/// Configuration of the per-core cache hierarchy.
-#[derive(Debug, Clone, Copy)]
-pub struct HierarchyConfig {
-    /// L1 data cache geometry, if present.
-    pub l1: Option<CacheGeometry>,
-    /// L2 cache geometry, if present.
-    pub l2: Option<CacheGeometry>,
-    /// Whether the DCPT prefetcher is attached (the `Prefetch` variant).
-    pub prefetch: bool,
-    /// L1 hit service time (typically one pipeline cycle).
-    pub l1_hit: SimDur,
-    /// L2 hit service time.
-    pub l2_hit: SimDur,
-    /// DRAM-bus bytes charged per demand-fill byte. The Baseline SSD data
-    /// path stages flash pages into DRAM and reads them back, so every
-    /// fill byte costs two bus trips (Section III's blue arrows).
-    pub fill_bytes_factor: u32,
-    /// Fraction of the DRAM access latency exposed to a blocking load.
-    /// Models the memory-level parallelism a pipelined in-order core still
-    /// extracts (critical-word-first, fill/use overlap).
-    pub mlp_latency_factor: f64,
-}
-
-impl HierarchyConfig {
-    /// Table IV `Baseline`: 32 KiB/8-way L1D + 256 KiB/16-way L2, no
-    /// prefetcher.
-    pub fn baseline() -> Self {
-        HierarchyConfig {
-            l1: Some(CacheGeometry::L1D),
-            l2: Some(CacheGeometry::L2),
-            prefetch: false,
-            // Load-use latency of an in-order five-stage core: the dcache
-            // answers in MEM, so a dependent consumer sees two cycles.
-            // (ASSASIN's scratchpad/streambuffer single-cycle access is
-            // exactly the contrast Section V-B draws.)
-            l1_hit: SimDur::from_ns(2),
-            l2_hit: SimDur::from_ns(8),
-            fill_bytes_factor: 2,
-            mlp_latency_factor: 0.6,
-        }
-    }
-
-    /// Table IV `Prefetch`: baseline plus DCPT.
-    pub fn with_prefetcher() -> Self {
-        HierarchyConfig {
-            prefetch: true,
-            ..HierarchyConfig::baseline()
-        }
-    }
-}
-
-/// A per-core cache hierarchy in front of the SSD DRAM. The hierarchy
-/// holds no DRAM of its own: the device owns the one DRAM bus, and each
-/// [`MemHierarchy::access`] borrows it for that access.
+/// A per-core cache hierarchy in front of the SSD DRAM: Table IV's L1D
+/// ([`CacheGeometry::L1D`]) and L2 ([`CacheGeometry::L2`]), plus DCPT on
+/// Prefetch cores. The hierarchy holds no DRAM of its own: the device owns
+/// the one DRAM bus, and each [`MemHierarchy::access`] borrows it for that
+/// access.
 ///
-/// Timing model: L1 hits cost [`HierarchyConfig::l1_hit`]; L1 misses that
-/// hit in L2 cost `l2_hit`; L2 misses occupy the shared DRAM bus for a line
-/// and pay the DRAM latency. Dirty evictions post write-back traffic to
-/// DRAM without stalling the core. Prefetches issued by DCPT consume real
-/// DRAM bandwidth and can later convert demand misses into
-/// [`ServedBy::Prefetch`] hits.
+/// Timing model: L1 hits cost [`MemHierarchy::L1_HIT`]; L1 misses that
+/// hit in L2 cost 8 ns; L2 misses occupy the shared DRAM bus for a line
+/// and pay the DRAM latency. Dirty evictions post
+/// write-back traffic to DRAM without stalling the core. Prefetches issued
+/// by DCPT consume real DRAM bandwidth and can later convert demand misses
+/// into [`ServedBy::Prefetch`] hits.
 #[derive(Debug)]
 pub struct MemHierarchy {
-    cfg: HierarchyConfig,
-    l1: Option<Cache>,
-    l2: Option<Cache>,
-    prefetcher: Option<DcptPrefetcher>,
-    /// In-flight (or completed-but-unclaimed) prefetches: line addr -> data
-    /// ready time.
-    inflight_pf: HashMap<u64, SimTime>,
-    line_bytes: u32,
+    l1: Cache,
+    l2: Cache,
+    prefetch: Option<Prefetch>,
     /// Demand traffic brought in from DRAM, in bytes.
     dram_fill_bytes: u64,
 }
 
-impl MemHierarchy {
-    /// Largest number of outstanding prefetched lines tracked.
-    const MAX_INFLIGHT_PF: usize = 32;
+/// The Prefetch engine's DCPT and the lines it has fetched.
+#[derive(Debug)]
+struct Prefetch {
+    dcpt: DcptPrefetcher,
+    /// In-flight (or completed-but-unclaimed) prefetches: line addr -> data
+    /// ready time.
+    inflight: HashMap<u64, SimTime>,
+}
 
-    /// Builds the hierarchy; the DRAM it sits in front of is passed to
-    /// each [`MemHierarchy::access`].
-    pub fn new(cfg: HierarchyConfig) -> Self {
-        let line_bytes = cfg.l1.or(cfg.l2).map(|g| g.line_bytes).unwrap_or(64);
+/// Line size shared by both levels.
+const LINE_BYTES: u64 = CacheGeometry::L1D.line_bytes as u64;
+
+/// DRAM-bus bytes charged per demand-fill byte. The Baseline SSD data path
+/// stages flash pages into DRAM and reads them back, so every fill byte
+/// costs two bus trips (Section III's blue arrows).
+const FILL_BYTES_FACTOR: u64 = 2;
+
+/// Fraction of the DRAM access latency exposed to a blocking load. Models
+/// the memory-level parallelism a pipelined in-order core still extracts
+/// (critical-word-first, fill/use overlap).
+const MLP_LATENCY_FACTOR: f64 = 0.6;
+
+/// L2 hit service time.
+const L2_HIT: SimDur = SimDur::from_ns(8);
+
+/// Largest number of outstanding prefetched lines tracked.
+const MAX_INFLIGHT_PF: usize = 32;
+
+/// The line holding byte `addr`.
+#[inline(always)]
+fn line_of(addr: u64) -> u64 {
+    addr & !(LINE_BYTES - 1)
+}
+
+impl MemHierarchy {
+    /// L1 hit service time: the load-use latency of an in-order
+    /// five-stage core. The dcache answers in MEM, so a dependent
+    /// consumer sees two cycles. (ASSASIN's scratchpad/streambuffer
+    /// single-cycle access is exactly the contrast Section V-B draws.)
+    pub const L1_HIT: SimDur = SimDur::from_ns(2);
+
+    /// Builds Table IV's hierarchy: the Baseline's L1D and L2, plus DCPT
+    /// when `prefetch` (the Prefetch engine). The DRAM it sits in front of
+    /// is passed to each [`MemHierarchy::access`].
+    pub fn new(prefetch: bool) -> Self {
         MemHierarchy {
-            l1: cfg.l1.map(Cache::new),
-            l2: cfg.l2.map(Cache::new),
-            prefetcher: if cfg.prefetch {
-                Some(DcptPrefetcher::new(line_bytes))
-            } else {
-                None
-            },
-            cfg,
-            inflight_pf: HashMap::new(),
-            line_bytes,
+            l1: Cache::new(CacheGeometry::L1D),
+            l2: Cache::new(CacheGeometry::L2),
+            prefetch: prefetch.then(|| Prefetch {
+                dcpt: DcptPrefetcher::new(LINE_BYTES as u32),
+                inflight: HashMap::new(),
+            }),
             dram_fill_bytes: 0,
         }
     }
@@ -132,9 +111,9 @@ impl MemHierarchy {
     /// prefetcher) the prefetcher's training on `dram`, so it skips the
     /// per-line loop, the writeback plumbing and the prefetch-table
     /// lookups. Returns the completion time, `ready` plus
-    /// [`HierarchyConfig::l1_hit`]. Returns `None`, having changed
-    /// nothing, for anything else, so that a following `access` replays
-    /// the identical state machine.
+    /// [`MemHierarchy::L1_HIT`]. Returns `None`, having changed nothing,
+    /// for anything else, so that a following `access` replays the
+    /// identical state machine.
     #[inline(always)]
     pub fn try_l1_hit(
         &mut self,
@@ -145,19 +124,17 @@ impl MemHierarchy {
         bytes: u32,
         ready: SimTime,
     ) -> Option<SimTime> {
-        let line = addr & !(self.line_bytes as u64 - 1);
-        let last_line = (addr + bytes.max(1) as u64 - 1) & !(self.line_bytes as u64 - 1);
-        if line != last_line {
+        let line = line_of(addr);
+        if line != line_of(addr + bytes.max(1) as u64 - 1) {
             return None;
         }
-        let l1 = self.l1.as_mut()?;
-        if !l1.try_hit(line, matches!(kind, AccessKind::Store)) {
+        if !self.l1.try_hit(line, matches!(kind, AccessKind::Store)) {
             return None;
         }
-        if self.prefetcher.is_some() {
+        if self.prefetch.is_some() {
             self.train_prefetcher(dram, pc, addr, ready);
         }
-        Some(ready + self.cfg.l1_hit)
+        Some(ready + Self::L1_HIT)
     }
 
     /// Performs a demand access of `bytes` at `addr` issued by the
@@ -180,8 +157,8 @@ impl MemHierarchy {
         if let Some(done) = self.try_l1_hit(dram, kind, pc, addr, bytes, ready) {
             return (done, ServedBy::L1);
         }
-        let first_line = addr & !(self.line_bytes as u64 - 1);
-        let last_line = (addr + bytes.max(1) as u64 - 1) & !(self.line_bytes as u64 - 1);
+        let first_line = line_of(addr);
+        let last_line = line_of(addr + bytes.max(1) as u64 - 1);
         let mut complete = ready;
         let mut served = ServedBy::L1;
         let mut line = first_line;
@@ -196,10 +173,10 @@ impl MemHierarchy {
             if line == last_line {
                 break;
             }
-            line += self.line_bytes as u64;
+            line += LINE_BYTES;
         }
         // Prefetcher observes the demand stream (trains on all accesses).
-        if self.prefetcher.is_some() {
+        if self.prefetch.is_some() {
             self.train_prefetcher(dram, pc, addr, ready);
         }
         (complete, served)
@@ -212,57 +189,49 @@ impl MemHierarchy {
         line: u64,
         ready: SimTime,
     ) -> (SimTime, ServedBy) {
-        let l1_hit_time = ready + self.cfg.l1_hit;
+        let l1_hit_time = ready + Self::L1_HIT;
         // L1 lookup.
-        if let Some(l1) = &mut self.l1 {
-            let r = l1.access(line, matches!(kind, AccessKind::Store));
-            if let Some(wb) = r.writeback {
-                self.writeback(dram, wb, ready);
-            }
-            if r.hit {
-                return (l1_hit_time, ServedBy::L1);
-            }
+        let r = self.l1.access(line, matches!(kind, AccessKind::Store));
+        if r.writeback.is_some() {
+            writeback(dram, ready);
+        }
+        if r.hit {
+            return (l1_hit_time, ServedBy::L1);
         }
         // Prefetch coverage.
-        if let Some(pf_ready) = self.inflight_pf.remove(&line) {
-            if let Some(l2) = &mut self.l2 {
-                if let Some(wb) = l2.fill(line) {
-                    self.writeback(dram, wb, ready);
+        if let Some(pf) = &mut self.prefetch {
+            if let Some(pf_ready) = pf.inflight.remove(&line) {
+                if self.l2.fill(line).is_some() {
+                    writeback(dram, ready);
                 }
+                pf.dcpt.note_useful();
+                let done = match kind {
+                    AccessKind::Load => l1_hit_time.max(pf_ready),
+                    AccessKind::Store => l1_hit_time,
+                };
+                return (done, ServedBy::Prefetch);
             }
-            if let Some(pf) = &mut self.prefetcher {
-                pf.note_useful();
-            }
-            let done = l1_hit_time.max(pf_ready);
-            let served = ServedBy::Prefetch;
-            let store = matches!(kind, AccessKind::Store);
-            return (if store { l1_hit_time } else { done }, served);
         }
         // L2 lookup.
-        if let Some(l2) = &mut self.l2 {
-            let r = l2.access(line, false);
-            if let Some(wb) = r.writeback {
-                self.writeback(dram, wb, ready);
-            }
-            if r.hit {
-                return (ready + self.cfg.l2_hit, ServedBy::L2);
-            }
+        let r = self.l2.access(line, false);
+        if r.writeback.is_some() {
+            writeback(dram, ready);
         }
-        // DRAM fill: the Baseline data path pays `fill_bytes_factor` bus
+        if r.hit {
+            return (ready + L2_HIT, ServedBy::L2);
+        }
+        // DRAM fill: the Baseline data path pays `FILL_BYTES_FACTOR` bus
         // trips per byte (staging write + demand read), and a blocking load
-        // sees `mlp_latency_factor` of the access latency.
-        let fill = self.line_bytes as u64 * self.cfg.fill_bytes_factor as u64;
+        // sees `MLP_LATENCY_FACTOR` of the access latency.
+        let fill = LINE_BYTES * FILL_BYTES_FACTOR;
         self.dram_fill_bytes += fill;
         let done = match kind {
-            AccessKind::Load => {
-                let bus = dram.post(ready, fill);
-                bus + self.exposed_latency(dram)
-            }
+            AccessKind::Load => dram.post(ready, fill) + exposed_latency(dram),
             // Store misses fetch the line for ownership but retire through
             // the store buffer: traffic yes, stall no.
             AccessKind::Store => {
                 dram.post(ready, fill);
-                ready + self.cfg.l1_hit
+                l1_hit_time
             }
         };
         (done, ServedBy::Dram)
@@ -272,37 +241,22 @@ impl MemHierarchy {
     /// prefix stays small.
     #[inline(never)]
     fn train_prefetcher(&mut self, dram: &mut Dram, pc: u64, addr: u64, now: SimTime) {
-        let Some(pf) = &mut self.prefetcher else {
+        let Some(pf) = &mut self.prefetch else {
             return;
         };
-        let candidates = pf.observe(pc, addr);
-        for cand in candidates {
-            let line = cand & !(self.line_bytes as u64 - 1);
-            let cached = self.l1.as_ref().map(|c| c.probe(line)).unwrap_or(false)
-                || self.l2.as_ref().map(|c| c.probe(line)).unwrap_or(false);
-            if cached || self.inflight_pf.contains_key(&line) {
+        for cand in pf.dcpt.observe(pc, addr) {
+            let line = line_of(cand);
+            if self.l1.probe(line) || self.l2.probe(line) || pf.inflight.contains_key(&line) {
                 continue;
             }
-            if self.inflight_pf.len() >= Self::MAX_INFLIGHT_PF {
+            if pf.inflight.len() >= MAX_INFLIGHT_PF {
                 break;
             }
-            let fill = self.line_bytes as u64 * self.cfg.fill_bytes_factor as u64;
+            let fill = LINE_BYTES * FILL_BYTES_FACTOR;
             self.dram_fill_bytes += fill;
-            let ready = {
-                let bus = dram.post(now, fill);
-                bus + self.exposed_latency(dram)
-            };
-            self.inflight_pf.insert(line, ready);
+            let ready = dram.post(now, fill) + exposed_latency(dram);
+            pf.inflight.insert(line, ready);
         }
-    }
-
-    /// The part of `dram`'s access latency a blocking fill sees.
-    fn exposed_latency(&self, dram: &Dram) -> SimDur {
-        SimDur::from_secs_f64(dram.latency().as_secs_f64() * self.cfg.mlp_latency_factor)
-    }
-
-    fn writeback(&self, dram: &mut Dram, _line: u64, ready: SimTime) {
-        dram.post(ready, self.line_bytes as u64);
     }
 
     /// Demand-fill traffic brought from DRAM so far, in bytes.
@@ -310,20 +264,30 @@ impl MemHierarchy {
         self.dram_fill_bytes
     }
 
-    /// L1 (hits, misses), if an L1 is configured.
-    pub fn l1_counters(&self) -> Option<(u64, u64)> {
-        self.l1.as_ref().map(|c| c.counters())
+    /// L1 (hits, misses).
+    pub fn l1_counters(&self) -> (u64, u64) {
+        self.l1.counters()
     }
 
-    /// L2 (hits, misses), if an L2 is configured.
-    pub fn l2_counters(&self) -> Option<(u64, u64)> {
-        self.l2.as_ref().map(|c| c.counters())
+    /// L2 (hits, misses).
+    pub fn l2_counters(&self) -> (u64, u64) {
+        self.l2.counters()
     }
 
-    /// Prefetcher (issued, useful) counters, if configured.
+    /// Prefetcher (issued, useful) counters, on the Prefetch engine.
     pub fn prefetch_counters(&self) -> Option<(u64, u64)> {
-        self.prefetcher.as_ref().map(|p| p.counters())
+        self.prefetch.as_ref().map(|p| p.dcpt.counters())
     }
+}
+
+/// The part of `dram`'s access latency a blocking fill sees.
+fn exposed_latency(dram: &Dram) -> SimDur {
+    SimDur::from_secs_f64(dram.latency().as_secs_f64() * MLP_LATENCY_FACTOR)
+}
+
+/// Posts a dirty line's write-back traffic to `dram`.
+fn writeback(dram: &mut Dram, ready: SimTime) {
+    dram.post(ready, LINE_BYTES);
 }
 
 #[cfg(test)]
@@ -331,23 +295,23 @@ mod tests {
     use super::*;
 
     /// A hierarchy plus the DRAM it borrows on every access.
-    fn with_dram(cfg: HierarchyConfig) -> (MemHierarchy, Dram) {
-        (MemHierarchy::new(cfg), Dram::lpddr5_8gbps())
+    fn with_dram(prefetch: bool) -> (MemHierarchy, Dram) {
+        (MemHierarchy::new(prefetch), Dram::lpddr5_8gbps())
     }
 
     #[test]
     fn l1_hit_is_fast() {
-        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (mut h, mut dram) = with_dram(false);
         let (t0, s0) = h.access(&mut dram, AccessKind::Load, 0, 0x1000, 4, SimTime::ZERO);
         assert_eq!(s0, ServedBy::Dram);
         let (t1, s1) = h.access(&mut dram, AccessKind::Load, 0, 0x1004, 4, t0);
         assert_eq!(s1, ServedBy::L1);
-        assert_eq!(t1, t0 + HierarchyConfig::baseline().l1_hit);
+        assert_eq!(t1, t0 + MemHierarchy::L1_HIT);
     }
 
     #[test]
     fn l2_serves_l1_victims() {
-        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (mut h, mut dram) = with_dram(false);
         // Touch enough distinct lines to overflow L1 (32KiB = 512 lines)
         // but stay within L2 (4096 lines).
         for i in 0..1024u64 {
@@ -367,7 +331,7 @@ mod tests {
 
     #[test]
     fn streaming_pays_dram_every_line() {
-        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (mut h, mut dram) = with_dram(false);
         let mut dram_served = 0;
         let mut t = SimTime::ZERO;
         for i in 0..256u64 {
@@ -384,7 +348,7 @@ mod tests {
 
     #[test]
     fn prefetcher_converts_misses() {
-        let (mut hp, mut dram) = with_dram(HierarchyConfig::with_prefetcher());
+        let (mut hp, mut dram) = with_dram(true);
         let mut t = SimTime::ZERO;
         let mut covered = 0;
         for i in 0..512u64 {
@@ -405,19 +369,19 @@ mod tests {
 
     #[test]
     fn stores_do_not_stall() {
-        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (mut h, mut dram) = with_dram(false);
         let (t, s) = h.access(&mut dram, AccessKind::Store, 0, 0x5000, 4, SimTime::ZERO);
         assert_eq!(s, ServedBy::Dram);
-        assert_eq!(t, SimTime::ZERO + HierarchyConfig::baseline().l1_hit);
+        assert_eq!(t, SimTime::ZERO + MemHierarchy::L1_HIT);
         // ... but they do produce DRAM traffic (2x per fill byte).
         assert_eq!(h.dram_fill_bytes(), 128);
     }
 
     #[test]
     fn straddling_access_touches_two_lines() {
-        let (mut h, mut dram) = with_dram(HierarchyConfig::baseline());
+        let (mut h, mut dram) = with_dram(false);
         h.access(&mut dram, AccessKind::Load, 0, 0x103C, 8, SimTime::ZERO);
-        let (hits, misses) = h.l1_counters().unwrap();
+        let (hits, misses) = h.l1_counters();
         assert_eq!((hits, misses), (0, 2));
     }
 }

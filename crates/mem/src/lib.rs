@@ -46,7 +46,7 @@ pub mod word;
 pub use cache::{Cache, CacheGeometry};
 pub use dram::Dram;
 pub use error::MemError;
-pub use hierarchy::{AccessKind, HierarchyConfig, MemHierarchy, ServedBy};
+pub use hierarchy::{AccessKind, MemHierarchy, ServedBy};
 pub use prefetch::DcptPrefetcher;
 pub use scratchpad::Scratchpad;
 pub use streambuffer::{ReadOutcome, StreamBuffer, StreamBufferConfig, WriteOutcome};

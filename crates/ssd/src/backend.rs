@@ -221,9 +221,7 @@ pub(crate) struct Backend<'a> {
     pub bank_bytes: u32,
     /// Object granularity for bank assembly.
     pub granularity: u32,
-    /// Input bytes actually streamed out of flash (excl. boundary refetch).
-    pub bytes_streamed: u64,
-    /// Per-core input bytes fetched.
+    /// Per-core input bytes fetched; they sum to the request's input.
     pub per_core_streamed: Vec<u64>,
 }
 
@@ -288,10 +286,12 @@ impl Backend<'_> {
 /// thresholds and running the chip-level retry ladder again — fresh draws,
 /// since the chip's fault sequence advances per sense). A page that stays
 /// uncorrectable surfaces as a typed [`SsdError::Media`] with its physical
-/// address; any other flash failure (unwritten page, bad size) propagates
-/// as a typed FTL/flash error instead of panicking.
+/// address and, for an FTL-mediated read, its logical page `lpa`; any
+/// other flash failure (unwritten page, bad size) propagates as a typed
+/// FTL/flash error instead of panicking.
 pub(crate) fn read_page_retrying(
     flash: &mut FlashArray,
+    lpa: Option<Lpa>,
     addr: PhysPageAddr,
     issue: SimTime,
     retries: u32,
@@ -302,22 +302,48 @@ pub(crate) fn read_page_retrying(
             Ok(ok) => return Ok(ok),
             Err(FlashError::Uncorrectable { .. }) if attempt < retries => attempt += 1,
             Err(FlashError::Uncorrectable { addr, errors }) => {
-                return Err(SsdError::Media {
-                    lpa: None,
-                    addr,
-                    errors,
-                })
+                return Err(SsdError::Media { lpa, addr, errors })
             }
             Err(e) => return Err(SsdError::Ftl(FtlError::Flash(e))),
         }
     }
 }
 
-/// Turns per-core page plans into scheduled deliveries: flash reads are
-/// issued round-robin across cores/streams starting at the request's
-/// firmware-poll offset, so the channel and chip timelines determine each
-/// page's arrival (pipelined across chips, FIFO on each bus) and every
-/// core gets a fair share of the array.
+/// Reads every planned page out of flash, issued round-robin across cores
+/// and streams starting at the request's firmware-poll offset, so the
+/// channel and chip timelines determine each page's flash arrival
+/// (pipelined across chips, FIFO on each bus) and every core gets a fair
+/// share of the array. Hands each page, trimmed to its plan, to `step`
+/// with its core, stream and flash arrival time.
+pub(crate) fn fetch_plans(
+    flash: &mut FlashArray,
+    firmware_poll: SimDur,
+    media_retries: u32,
+    plans: &mut [Vec<StreamPlan>],
+    mut step: impl FnMut(usize, usize, Bytes, SimTime),
+) -> Result<(), SsdError> {
+    let issue = SimTime::ZERO + firmware_poll;
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for (core, streams) in plans.iter_mut().enumerate() {
+            for (sid, plan) in streams.iter_mut().enumerate() {
+                let Some(page) = plan.pop() else {
+                    continue;
+                };
+                progressed = true;
+                let (data, flash_arrival) =
+                    read_page_retrying(flash, None, page.addr, issue, media_retries)?;
+                let payload = data.slice(page.offset as usize..(page.offset + page.len) as usize);
+                step(core, sid, payload, flash_arrival);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Turns per-core page plans into scheduled crossbar deliveries for the
+/// DRAM-bypassing styles ([`fetch_plans`] order).
 pub(crate) fn schedule_plans(
     flash: &mut FlashArray,
     crossbar: &mut [Timeline],
@@ -330,35 +356,24 @@ pub(crate) fn schedule_plans(
         .iter()
         .map(|streams| streams.iter().map(|_| PageQueue::default()).collect())
         .collect();
-    let issue = SimTime::ZERO + firmware_poll;
     let flash_xfer = flash.page_transfer_time();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for (core, streams) in plans.iter_mut().enumerate() {
-            for (sid, plan) in streams.iter_mut().enumerate() {
-                let Some(page) = plan.pop() else {
-                    continue;
-                };
-                progressed = true;
-                let (data, flash_arrival) =
-                    read_page_retrying(flash, page.addr, issue, media_retries)?;
-                let payload = data.slice(page.offset as usize..(page.offset + page.len) as usize);
-                // The crossbar is cut-through (Figure 6: computing on data
-                // *streaming* between flash and the engines): the port
-                // transfer overlaps the channel-bus transfer, so it only
-                // delays arrival when several channels converge on one
-                // port faster than the port drains.
-                let xfer = SimDur::from_secs_f64(page.len as f64 / crossbar_rate);
-                let grant = crossbar[core].acquire(flash_arrival - flash_xfer, xfer);
-                let arrival = flash_arrival.max(grant.end) + SimDur::from_ns(200);
-                scheduled[core][sid].push(ScheduledPage {
-                    data: payload,
-                    arrival,
-                });
-            }
-        }
-    }
+    fetch_plans(
+        flash,
+        firmware_poll,
+        media_retries,
+        plans,
+        |core, sid, data, flash_arrival| {
+            // The crossbar is cut-through (Figure 6: computing on data
+            // *streaming* between flash and the engines): the port
+            // transfer overlaps the channel-bus transfer, so it only
+            // delays arrival when several channels converge on one port
+            // faster than the port drains.
+            let xfer = SimDur::from_secs_f64(data.len() as f64 / crossbar_rate);
+            let grant = crossbar[core].acquire(flash_arrival - flash_xfer, xfer);
+            let arrival = flash_arrival.max(grant.end) + SimDur::from_ns(200);
+            scheduled[core][sid].push(ScheduledPage { data, arrival });
+        },
+    )?;
     Ok(scheduled)
 }
 
@@ -380,7 +395,6 @@ impl StreamEnv for Backend<'_> {
                 return;
             };
             let len = page.data.len() as u64;
-            self.bytes_streamed += len;
             self.per_core_streamed[core] += len;
             sbuf.push_page(sid, page.data, page.arrival)
                 .expect("slot checked");
@@ -426,7 +440,6 @@ impl StreamEnv for Backend<'_> {
                     head
                 };
                 got += piece.len();
-                self.bytes_streamed += piece.len() as u64;
                 self.per_core_streamed[core] += piece.len() as u64;
                 bank.extend_from_slice(&piece);
             }

@@ -1,10 +1,12 @@
 //! The SSD: plain IO paths plus the `scomp` compute path.
 
-use crate::backend::{schedule_plans, split_ranges, Backend, FlashOut, PagePlan, Sink, StreamPlan};
+use crate::backend::{
+    fetch_plans, read_page_retrying, schedule_plans, split_ranges, Backend, FlashOut, PagePlan,
+    Sink, StreamPlan,
+};
 use crate::request::OutputTarget;
 use crate::{
-    CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError, EPOCH, MEDIA_BACKOFF, PCIE_BW,
-    PCIE_LATENCY,
+    CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError, EPOCH, PCIE_BW, PCIE_LATENCY,
 };
 use assasin_core::{
     Core, CoreConfig, CoreState, DataPath, DramWindow, EngineKind, KernelProfile, RunOutcome,
@@ -137,30 +139,25 @@ impl Ssd {
         self.flash.reliability_stats()
     }
 
-    /// FTL read with SSD-level re-read attempts: an uncorrectable result is
-    /// retried up to `media_retries` times, each re-issue backed off by one
-    /// more [`MEDIA_BACKOFF`] step (the chip's fault sequence advances per
-    /// sense, so every re-read runs a fresh retry ladder). A page that
-    /// stays uncorrectable surfaces as [`SsdError::Media`] with both its
-    /// logical and physical address.
+    /// FTL read with SSD-level re-read attempts ([`read_page_retrying`]):
+    /// a page that stays uncorrectable surfaces as [`SsdError::Media`]
+    /// with both its logical and physical address.
     fn ftl_read_retrying(
         &mut self,
         lpa: Lpa,
         issue: SimTime,
     ) -> Result<(Bytes, SimTime), SsdError> {
-        let mut attempt = 0u32;
-        loop {
-            let when = issue + MEDIA_BACKOFF * attempt as u64;
-            match self.ftl.read(&mut self.flash, lpa, when) {
-                Ok(ok) => return Ok(ok),
-                Err(assasin_ftl::FtlError::Uncorrectable { .. })
-                    if attempt < self.cfg.media_retries =>
-                {
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let addr = self
+            .ftl
+            .translate(lpa)
+            .ok_or(assasin_ftl::FtlError::Unmapped(lpa))?;
+        read_page_retrying(
+            &mut self.flash,
+            Some(lpa),
+            addr,
+            issue,
+            self.cfg.media_retries,
+        )
     }
 
     /// Drops the flash copy of `lpa`'s block while leaving the L2P mapping
@@ -564,7 +561,6 @@ impl Ssd {
             out_done: vec![SimTime::ZERO; n_cores],
             bank_bytes: core_cfg.staging_bytes,
             granularity: req.kernel.granularity(),
-            bytes_streamed: 0,
             per_core_streamed: vec![0; n_cores],
         };
 
@@ -678,12 +674,12 @@ fn kernel_core(
 }
 
 /// Stages every planned page into per-core DRAM windows (the Baseline data
-/// path): flash read, per-page availability time. Round-robins across
-/// cores and streams so channels serve everyone fairly. The DRAM bus cost
-/// of staging is charged when the core's cache fills from the window
-/// (`fill_bytes_factor = 2` in the hierarchy: staging write + demand
-/// read), which also gives the correct consumption-paced backpressure.
-/// Each core is then launched on its window.
+/// path) in [`fetch_plans`] order, each available one DRAM latency after
+/// its flash arrival. The DRAM bus cost of staging is charged when the
+/// core's cache fills from the window (the hierarchy charges two bus trips
+/// per fill byte: staging write + demand read), which also gives the
+/// correct consumption-paced backpressure. Each core is then launched on
+/// its window.
 fn stage_windows(
     cores: &mut [Core],
     backend: &mut Backend<'_>,
@@ -703,31 +699,27 @@ fn stage_windows(
             DramWindow::new(n_in, in_len, out_bytes as u64, page_bytes)
         })
         .collect();
-    // Drain plans into the windows, page by page, round-robin.
-    let mut queues: Vec<(usize, usize, u64, StreamPlan)> = Vec::new();
-    for (id, streams) in plans.iter_mut().enumerate() {
-        for (sid, plan) in streams.iter_mut().enumerate() {
-            queues.push((id, sid, 0, std::mem::take(plan)));
-        }
-    }
-    let issue = SimTime::ZERO + firmware_poll;
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for (id, sid, pos, pages) in queues.iter_mut() {
-            let Some(plan) = pages.pop() else {
-                continue;
-            };
-            progressed = true;
-            let (data, flash_arrival) =
-                crate::backend::read_page_retrying(backend.flash, plan.addr, issue, media_retries)?;
-            let payload = data.slice(plan.offset as usize..(plan.offset + plan.len) as usize);
-            backend.bytes_streamed += plan.len as u64;
-            backend.per_core_streamed[*id] += plan.len as u64;
-            windows[*id].stage(*sid, *pos, &payload, flash_arrival + backend.dram.latency());
-            *pos += plan.len as u64;
-        }
-    }
+    // Bytes staged so far per (core, stream): the next page's position.
+    let mut staged = vec![vec![0u64; n_in]; plans.len()];
+    let dram_latency = backend.dram.latency();
+    let per_core_streamed = &mut backend.per_core_streamed;
+    fetch_plans(
+        backend.flash,
+        firmware_poll,
+        media_retries,
+        plans,
+        |core, sid, payload, flash_arrival| {
+            let len = payload.len() as u64;
+            per_core_streamed[core] += len;
+            windows[core].stage(
+                sid,
+                staged[core][sid],
+                &payload,
+                flash_arrival + dram_latency,
+            );
+            staged[core][sid] += len;
+        },
+    )?;
     for (core, window) in cores.iter_mut().zip(windows) {
         core.launch_mem(window).map_err(SsdError::Invariant)?;
     }
@@ -905,7 +897,7 @@ impl Session<'_> {
             })
             .collect::<Vec<_>>();
 
-        let bytes_in = backend.bytes_streamed;
+        let bytes_in = backend.per_core_streamed.iter().sum();
         let outputs = std::mem::take(&mut backend.outputs);
         let bytes_out = outputs.iter().map(|o| o.len() as u64).sum();
         let channels = cfg.geometry.channels;
