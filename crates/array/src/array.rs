@@ -1,12 +1,13 @@
 //! The array itself: catalog, placement, degraded reads, rebuild, and
 //! the deterministic timing roll-up over the shared host link.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use assasin_ftl::Lpa;
 use assasin_sim::{HostLink, SimDur, SimTime};
-use assasin_ssd::{KernelBundle, ScompRequest, Ssd, SsdImage};
+use assasin_ssd::{KernelBundle, ScompRequest, Ssd};
 
 use crate::config::ArrayConfig;
 use crate::engine::{merge_completions, run_batch, Completion, DeviceCmd, DeviceReply, ExecError};
@@ -34,7 +35,8 @@ pub struct DeviceStats {
     /// Time this device's host transfers spent queued at the shared
     /// root.
     pub link_stalled: SimDur,
-    /// Whether the device is currently failed.
+    /// Whether the device is currently down: failed, or poisoned by a
+    /// panic caught in one of its commands.
     pub failed: bool,
 }
 
@@ -169,11 +171,66 @@ pub struct RebuildReport {
     pub link: LinkReport,
 }
 
-/// A read command still waiting for assembly.
-struct Fetch {
-    device: usize,
-    lpas: Vec<Lpa>,
-    bytes: u64,
+/// One stripe's reads as queued by [`SsdArray::plan_stripe`]: indices
+/// into the operation's fetch list.
+struct StripePlan {
+    /// Per member, in stripe order: its read, or `None` when its device
+    /// is down.
+    members: Vec<Option<usize>>,
+    /// The syndromes read, by slot (`[P, Q]`).
+    syndromes: [Option<usize>; 2],
+}
+
+impl StripePlan {
+    /// Positions of the members whose devices are down, ascending.
+    fn lost(&self) -> Vec<usize> {
+        (0..self.members.len())
+            .filter(|&i| self.members[i].is_none())
+            .collect()
+    }
+}
+
+/// The data chunks `stripe` protects.
+fn stripe_chunks<'a>(obj: &'a StoredObject, stripe: &StripeLoc) -> &'a [ChunkLoc] {
+    &obj.chunks[stripe.first_chunk..stripe.first_chunk + stripe.width]
+}
+
+/// A stripe's full member set from the reads `plan` queued: survivors as
+/// read, and lost members (zero-padded to the stripe length)
+/// reconstructed from the syndromes read.
+fn stripe_members<'d>(
+    object: u64,
+    stripe: &StripeLoc,
+    plan: &StripePlan,
+    datas: &'d [Vec<u8>],
+) -> Result<Vec<Cow<'d, [u8]>>, ArrayError> {
+    let read = |f: Option<usize>| f.map(|fi| datas[fi].as_slice());
+    let mut members: Vec<Cow<'d, [u8]>> = plan
+        .members
+        .iter()
+        .map(|&f| Cow::Borrowed(read(f).unwrap_or_default()))
+        .collect();
+    let lost = plan.lost();
+    if lost.is_empty() {
+        return Ok(members);
+    }
+    let survivors: Vec<(usize, &[u8])> = plan
+        .members
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &f)| Some((i, read(f)?)))
+        .collect();
+    let padded = recover::pad_streams(&survivors, stripe.len as usize);
+    let survivors: Vec<(usize, &[u8])> = padded.iter().map(|(i, v)| (*i, v.as_slice())).collect();
+    let [p, q] = plan.syndromes.map(read);
+    let rebuilt = recover::recover_lost(&survivors, &lost, p, q).ok_or(ArrayError::DataLoss {
+        object,
+        chunk: stripe.first_chunk + lost[0],
+    })?;
+    for (i, bytes) in rebuilt {
+        members[i] = Cow::Owned(bytes);
+    }
+    Ok(members)
 }
 
 /// An array of N simulated computational SSDs behind one shared root
@@ -182,13 +239,13 @@ struct Fetch {
 /// contract.
 pub struct SsdArray {
     cfg: ArrayConfig,
-    /// One slot per device; `None` while a device is poisoned by a
-    /// panic caught in one of its commands, until a rebuild replaces it.
+    /// One slot per device; `None` while the device is down — failed by
+    /// [`SsdArray::fail_device`] or poisoned by a panic caught in one of
+    /// its commands — until a rebuild replaces it.
     devices: Vec<Option<Ssd>>,
     link: HostLink,
     catalog: BTreeMap<u64, StoredObject>,
     next_lpa: Vec<u64>,
-    failed: Vec<bool>,
     stats: ArrayStats,
 }
 
@@ -201,55 +258,19 @@ impl SsdArray {
     /// configuration.
     pub fn new(cfg: ArrayConfig) -> Result<SsdArray, ArrayError> {
         cfg.validate()?;
-        let devices = (0..cfg.devices)
-            .map(|d| Some(Ssd::new(cfg.device_cfg(d))))
-            .collect();
-        Ok(Self::build(cfg, devices, 0))
-    }
-
-    /// Builds an array whose devices are all forked from one
-    /// preconditioned image (clone-on-write, so N-device preconditioning
-    /// costs one load). `first_free_lpa` must lie past the image's used
-    /// pages; allocation for new objects starts there on every device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::BadConfig`] on an inconsistent
-    /// configuration, including per-device fault seeds (a fork must
-    /// preserve the media identity the image was built under).
-    pub fn from_image(
-        cfg: ArrayConfig,
-        image: &SsdImage,
-        first_free_lpa: u64,
-    ) -> Result<SsdArray, ArrayError> {
-        cfg.validate()?;
-        if !cfg.fault_seeds.is_empty() {
-            return Err(ArrayError::BadConfig(
-                "per-device fault seeds cannot fork a shared image: the fault model is part \
-                 of the media identity"
-                    .into(),
-            ));
-        }
-        let devices = (0..cfg.devices)
-            .map(|_| Some(image.fork(cfg.device)))
-            .collect();
-        Ok(Self::build(cfg, devices, first_free_lpa))
-    }
-
-    fn build(cfg: ArrayConfig, devices: Vec<Option<Ssd>>, first_free_lpa: u64) -> SsdArray {
-        let link = HostLink::new(cfg.devices, cfg.root_bw, cfg.root_latency);
-        SsdArray {
-            devices,
-            link,
+        Ok(SsdArray {
+            devices: (0..cfg.devices)
+                .map(|d| Some(Ssd::new(cfg.device_cfg(d))))
+                .collect(),
+            link: HostLink::new(cfg.devices, cfg.root_bw, cfg.root_latency),
             catalog: BTreeMap::new(),
-            next_lpa: vec![first_free_lpa; cfg.devices],
-            failed: vec![false; cfg.devices],
+            next_lpa: vec![0; cfg.devices],
             stats: ArrayStats {
                 devices: vec![DeviceStats::default(); cfg.devices],
                 ..ArrayStats::default()
             },
             cfg,
-        }
+        })
     }
 
     /// The array configuration.
@@ -267,16 +288,8 @@ impl SsdArray {
         &self.stats
     }
 
-    fn page_bytes(&self) -> u64 {
-        self.cfg.device.geometry.page_bytes as u64
-    }
-
-    fn pages_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.page_bytes())
-    }
-
     fn alloc(&mut self, device: usize, bytes: u64) -> ChunkLoc {
-        let pages = self.pages_for(bytes);
+        let pages = bytes.div_ceil(self.cfg.device.geometry.page_bytes as u64);
         let first = self.next_lpa[device];
         self.next_lpa[device] += pages;
         ChunkLoc {
@@ -286,37 +299,77 @@ impl SsdArray {
         }
     }
 
+    fn up(&self, device: usize) -> bool {
+        self.devices[device].is_some()
+    }
+
     fn healthy(&self, device: usize, what: &'static str) -> Result<(), ArrayError> {
-        if self.failed[device] {
-            Err(ArrayError::Degraded { device, what })
-        } else {
+        if self.up(device) {
             Ok(())
+        } else {
+            Err(ArrayError::Degraded { device, what })
         }
     }
 
-    /// Folds this operation's link accounting into the cumulative stats,
-    /// then returns the per-op report.
-    fn finish_op(&mut self, merged_events: u64) -> LinkReport {
-        let lanes = self.link.lane_stats().to_vec();
-        let report = LinkReport {
-            bytes: self.link.bytes_moved(),
-            transfers: lanes.iter().map(|l| l.transfers).sum(),
-            stalled: self.link.total_stalled(),
-            per_device_stalled: lanes.iter().map(|l| l.stalled).collect(),
+    /// The copy of chunk `c` to read: the primary when its device is up,
+    /// else the first replica on a device that is up.
+    fn healthy_copy<'a>(&self, obj: &'a StoredObject, c: usize) -> Option<&'a ChunkLoc> {
+        std::iter::once(&obj.chunks[c])
+            .chain(&obj.replicas[c])
+            .find(|loc| self.up(loc.device))
+    }
+
+    /// Queues the reads one stripe's recovery needs: every member on an
+    /// up device, then the syndromes on up devices in `[P, Q]` order, as
+    /// many as the stripe has lost members plus `spare`.
+    ///
+    /// # Errors
+    ///
+    /// [`ArrayError::DataLoss`] when more members are lost than
+    /// syndromes survive.
+    fn plan_stripe<'a>(
+        &self,
+        object: u64,
+        obj: &'a StoredObject,
+        stripe: &'a StripeLoc,
+        spare: usize,
+        fetches: &mut Vec<&'a ChunkLoc>,
+    ) -> Result<StripePlan, ArrayError> {
+        let mut fetch = |loc: &'a ChunkLoc| {
+            fetches.push(loc);
+            fetches.len() - 1
         };
-        for (d, l) in lanes.iter().enumerate() {
-            self.stats.devices[d].link_stalled += l.stalled;
+        let mut plan = StripePlan {
+            members: stripe_chunks(obj, stripe)
+                .iter()
+                .map(|loc| self.up(loc.device).then(|| fetch(loc)))
+                .collect(),
+            syndromes: [None; 2],
+        };
+        let lost = plan.lost();
+        let healthy: Vec<usize> = (0..stripe.parity.len())
+            .filter(|&k| self.up(stripe.parity[k].device))
+            .collect();
+        if lost.len() > healthy.len() {
+            return Err(ArrayError::DataLoss {
+                object,
+                chunk: stripe.first_chunk + lost[0],
+            });
         }
-        self.stats.link_bytes += report.bytes;
-        self.stats.link_transfers += report.transfers;
-        self.stats.link_stalled += report.stalled;
-        self.stats.merged_events += merged_events;
-        report
+        for k in healthy.into_iter().take(lost.len() + spare) {
+            plan.syndromes[k] = Some(fetch(&stripe.parity[k]));
+        }
+        Ok(plan)
     }
 
+    /// Runs one batch of device commands, maps executor failures onto
+    /// array errors, and records which devices a caught panic took down.
     fn run_batch(&mut self, cmds: Vec<(usize, DeviceCmd)>) -> Result<Vec<DeviceReply>, ArrayError> {
         let devices: Vec<usize> = cmds.iter().map(|(d, _)| *d).collect();
         let replies = run_batch(&mut self.devices, &self.cfg, cmds);
+        for (stats, slot) in self.stats.devices.iter_mut().zip(&self.devices) {
+            stats.failed = slot.is_none();
+        }
         replies
             .into_iter()
             .zip(devices)
@@ -329,55 +382,114 @@ impl SsdArray {
             .collect()
     }
 
-    /// Runs timed `Read` fetches, accumulates per-device clocks, merges
-    /// completions deterministically, charges the shared root in merged
-    /// order, and returns `(per-fetch data, host elapsed, merged count)`.
+    /// Charges one operation's host-bound transfers through the shared
+    /// root. `transfers` holds `(device, elapsed, bytes)` per command in
+    /// issue order: per-device clocks accumulate the elapsed times, the
+    /// completions cross the root in merged `(time, device, seq)` order,
+    /// and the operation's accounting folds into the cumulative stats.
+    /// Returns each transfer's host-visible completion, in issue order,
+    /// and the operation's link report.
+    fn cross_root(&mut self, transfers: &[(usize, SimDur, u64)]) -> (Vec<SimTime>, LinkReport) {
+        let mut clock = vec![SimTime::ZERO; self.cfg.devices];
+        let mut completions = Vec::with_capacity(transfers.len());
+        for (seq, &(device, elapsed, host_bytes)) in transfers.iter().enumerate() {
+            clock[device] += elapsed;
+            self.stats.devices[device].busy += elapsed;
+            completions.push(Completion {
+                ready: clock[device],
+                device,
+                seq: seq as u64,
+                host_bytes,
+            });
+        }
+        self.link.reset_time();
+        let mut dones = vec![SimTime::ZERO; transfers.len()];
+        for ev in merge_completions(completions) {
+            dones[ev.seq as usize] = self.link.transfer(ev.device, ev.ready, ev.host_bytes);
+        }
+        let lanes = self.link.lane_stats();
+        let report = LinkReport {
+            bytes: self.link.bytes_moved(),
+            transfers: lanes.iter().map(|l| l.transfers).sum(),
+            stalled: self.link.total_stalled(),
+            per_device_stalled: lanes.iter().map(|l| l.stalled).collect(),
+        };
+        for (stats, &stalled) in self
+            .stats
+            .devices
+            .iter_mut()
+            .zip(&report.per_device_stalled)
+        {
+            stats.link_stalled += stalled;
+        }
+        self.stats.link_bytes += report.bytes;
+        self.stats.link_transfers += report.transfers;
+        self.stats.link_stalled += report.stalled;
+        self.stats.merged_events += transfers.len() as u64;
+        (dones, report)
+    }
+
+    /// Runs timed reads of `fetches` through the shared root and returns
+    /// `(per-fetch data, host elapsed, link report)`.
     fn run_fetches(
         &mut self,
-        fetches: &[Fetch],
-    ) -> Result<(Vec<Vec<u8>>, SimDur, u64), ArrayError> {
+        fetches: &[&ChunkLoc],
+    ) -> Result<(Vec<Vec<u8>>, SimDur, LinkReport), ArrayError> {
         let cmds: Vec<(usize, DeviceCmd)> = fetches
             .iter()
-            .map(|f| {
+            .map(|loc| {
                 (
-                    f.device,
+                    loc.device,
                     DeviceCmd::Read {
-                        lpas: f.lpas.clone(),
-                        bytes: f.bytes,
+                        lpas: loc.lpas.clone(),
+                        bytes: loc.bytes,
                     },
                 )
             })
             .collect();
         let replies = self.run_batch(cmds)?;
-        let mut clock = vec![SimTime::ZERO; self.cfg.devices];
-        let mut completions = Vec::with_capacity(replies.len());
+        let mut transfers = Vec::with_capacity(replies.len());
         let mut datas = Vec::with_capacity(replies.len());
-        for (seq, reply) in replies.into_iter().enumerate() {
+        for (loc, reply) in fetches.iter().zip(replies) {
             let DeviceReply::Read { data, elapsed } = reply else {
                 unreachable!("read command answered with a read reply");
             };
-            let dev = fetches[seq].device;
-            let ready = clock[dev] + elapsed;
-            clock[dev] = ready;
-            completions.push(Completion {
-                ready,
-                device: dev,
-                seq: seq as u64,
-                host_bytes: data.len() as u64,
-            });
-            let stats = &mut self.stats.devices[dev];
+            let stats = &mut self.stats.devices[loc.device];
             stats.reads += 1;
             stats.read_bytes += data.len() as u64;
-            stats.busy += elapsed;
+            transfers.push((loc.device, elapsed, data.len() as u64));
             datas.push(data);
         }
-        self.link.reset_time();
-        let merged = merge_completions(completions);
-        let mut done = SimTime::ZERO;
-        for ev in &merged {
-            done = done.max(self.link.transfer(ev.device, ev.ready, ev.host_bytes));
+        let (dones, link) = self.cross_root(&transfers);
+        let done = dones.into_iter().max().unwrap_or(SimTime::ZERO);
+        Ok((datas, done.since(SimTime::ZERO), link))
+    }
+
+    /// Writes each payload at its chunk's pages (untimed loads) and
+    /// counts the writes in the per-device stats.
+    fn write_chunks(&mut self, writes: Vec<(&ChunkLoc, Arc<[u8]>)>) -> Result<(), ArrayError> {
+        let mut pages_of: Vec<(usize, u64)> = Vec::with_capacity(writes.len());
+        let cmds: Vec<(usize, DeviceCmd)> = writes
+            .into_iter()
+            .map(|(loc, data)| {
+                pages_of.push((loc.device, loc.lpas.len() as u64));
+                let first_lpa = loc.lpas[0].0;
+                (loc.device, DeviceCmd::Store { first_lpa, data })
+            })
+            .collect();
+        let replies = self.run_batch(cmds)?;
+        debug_assert!(
+            replies.iter().zip(&pages_of).all(|(r, (_, pages))| {
+                matches!(r, DeviceReply::Store { lpas } if lpas.len() as u64 == *pages)
+            }),
+            "devices wrote the pages the placement allocated"
+        );
+        for (d, pages) in pages_of {
+            let stats = &mut self.stats.devices[d];
+            stats.stores += 1;
+            stats.pages_written += pages;
         }
-        Ok((datas, done.since(SimTime::ZERO), merged.len() as u64))
+        Ok(())
     }
 
     /// Stores `data` as object `id` under the array's placement policy.
@@ -440,29 +552,13 @@ impl SsdArray {
             }
         }
 
-        let mut cmds: Vec<(usize, DeviceCmd)> = Vec::new();
-        let mut pages_of: Vec<(usize, u64)> = Vec::new();
-        let push_store = |cmds: &mut Vec<(usize, DeviceCmd)>,
-                          pages_of: &mut Vec<(usize, u64)>,
-                          loc: &ChunkLoc,
-                          payload: Arc<[u8]>| {
-            pages_of.push((loc.device, loc.lpas.len() as u64));
-            cmds.push((
-                loc.device,
-                DeviceCmd::Store {
-                    first_lpa: loc.lpas[0].0,
-                    data: payload,
-                },
-            ));
-        };
+        let mut writes: Vec<(&ChunkLoc, Arc<[u8]>)> = Vec::new();
         for (c, loc) in chunks.iter().enumerate() {
             let payload: Arc<[u8]> = Arc::from(chunk_slice(c));
-            push_store(&mut cmds, &mut pages_of, loc, payload.clone());
-            for rep in &replicas[c] {
-                push_store(&mut cmds, &mut pages_of, rep, payload.clone());
+            for copy in std::iter::once(loc).chain(&replicas[c]) {
+                writes.push((copy, payload.clone()));
             }
         }
-        let mut parity_chunks = 0u64;
         for stripe in &stripes {
             let streams: Vec<&[u8]> = (0..stripe.width)
                 .map(|i| chunk_slice(stripe.first_chunk + i))
@@ -476,35 +572,26 @@ impl SsdArray {
                 }
                 _ => unreachable!("parity devices imply a RAID placement"),
             };
-            for (loc, payload) in stripe.parity.iter().zip(payloads) {
-                parity_chunks += 1;
-                push_store(&mut cmds, &mut pages_of, loc, Arc::from(payload));
-            }
+            writes.extend(
+                stripe
+                    .parity
+                    .iter()
+                    .zip(payloads.into_iter().map(Arc::from)),
+            );
         }
 
-        let replies = self.run_batch(cmds)?;
-        debug_assert!(
-            replies.iter().zip(&pages_of).all(|(r, (_, pages))| {
-                matches!(r, DeviceReply::Store { lpas } if lpas.len() as u64 == *pages)
-            }),
-            "devices wrote the pages the placement allocated"
-        );
         let mut per_device_pages = vec![0u64; devices];
-        for (d, pages) in pages_of {
-            per_device_pages[d] += pages;
-            let stats = &mut self.stats.devices[d];
-            stats.stores += 1;
-            stats.pages_written += pages;
+        for (loc, _) in &writes {
+            per_device_pages[loc.device] += loc.lpas.len() as u64;
         }
         let report = StoreReport {
             data_chunks: n_chunks as u64,
             replica_chunks: replicas.iter().map(|r| r.len() as u64).sum(),
-            parity_chunks,
+            parity_chunks: stripes.iter().map(|s| s.parity.len() as u64).sum(),
             pages_written: per_device_pages.iter().sum(),
             per_device_pages,
         };
-        self.link.reset_time();
-        self.finish_op(0);
+        self.write_chunks(writes)?;
         self.catalog.insert(
             id,
             StoredObject {
@@ -516,65 +603,6 @@ impl SsdArray {
             },
         );
         Ok(report)
-    }
-
-    /// Registers an object that already lives on the media — every
-    /// device was forked from the same image, so consecutive pages
-    /// starting at `first_lpa` hold the object's bytes on *all* devices
-    /// and a striped view can address chunk `c` on its placement device
-    /// directly. Only the non-redundant placements qualify: replica and
-    /// parity chunks were never written.
-    ///
-    /// # Errors
-    ///
-    /// Fails on duplicate ids, zero-length objects, or a redundant
-    /// placement policy.
-    pub fn adopt_striped(&mut self, id: u64, first_lpa: u64, bytes: u64) -> Result<(), ArrayError> {
-        match self.cfg.placement {
-            ArrayPlacement::Striped | ArrayPlacement::WeightedStriped { .. } => {}
-            _ => {
-                return Err(ArrayError::BadConfig(
-                    "adopt_striped needs a non-redundant placement: replica/parity chunks \
-                     are not on the image"
-                        .into(),
-                ))
-            }
-        }
-        if self.catalog.contains_key(&id) {
-            return Err(ArrayError::DuplicateObject(id));
-        }
-        if bytes == 0 {
-            return Err(ArrayError::BadConfig("cannot adopt an empty object".into()));
-        }
-        let chunk_pages = self.cfg.chunk_bytes / self.page_bytes();
-        let n_chunks = bytes.div_ceil(self.cfg.chunk_bytes) as usize;
-        let mut chunks = Vec::with_capacity(n_chunks);
-        for c in 0..n_chunks {
-            let cb = self
-                .cfg
-                .chunk_bytes
-                .min(bytes - c as u64 * self.cfg.chunk_bytes);
-            let dev = self.cfg.placement.data_device(self.cfg.devices, c);
-            let first = first_lpa + c as u64 * chunk_pages;
-            let pages = self.pages_for(cb);
-            chunks.push(ChunkLoc {
-                device: dev,
-                lpas: (first..first + pages).map(Lpa).collect(),
-                bytes: cb,
-            });
-            self.next_lpa[dev] = self.next_lpa[dev].max(first + chunk_pages);
-        }
-        self.catalog.insert(
-            id,
-            StoredObject {
-                bytes,
-                chunk_bytes: self.cfg.chunk_bytes,
-                replicas: vec![Vec::new(); n_chunks],
-                stripes: Vec::new(),
-                chunks,
-            },
-        );
-        Ok(())
     }
 
     /// Reads object `id` back, reconstructing chunks on failed devices
@@ -590,116 +618,45 @@ impl SsdArray {
             .get(&id)
             .ok_or(ArrayError::UnknownObject(id))?
             .clone();
-        let n_chunks = obj.chunks.len();
-        let mut fetches: Vec<Fetch> = Vec::new();
-        let mut chunk_fetch: Vec<Option<usize>> = vec![None; n_chunks];
-        let mut stripe_parity_fetch: Vec<[Option<usize>; 2]> = vec![[None; 2]; obj.stripes.len()];
+        let mut fetches: Vec<&ChunkLoc> = Vec::new();
+        let mut plans: Vec<StripePlan> = Vec::with_capacity(obj.stripes.len());
         let mut degraded_chunks = 0u64;
-
-        let fetch = |fetches: &mut Vec<Fetch>, loc: &ChunkLoc| -> usize {
-            fetches.push(Fetch {
-                device: loc.device,
-                lpas: loc.lpas.clone(),
-                bytes: loc.bytes,
-            });
-            fetches.len() - 1
-        };
-
         if obj.stripes.is_empty() {
             // Striped / weighted / replicated: direct or replica reads.
-            for (c, loc) in obj.chunks.iter().enumerate() {
-                if !self.failed[loc.device] {
-                    chunk_fetch[c] = Some(fetch(&mut fetches, loc));
-                    continue;
-                }
-                let Some(rep) = obj.replicas[c].iter().find(|r| !self.failed[r.device]) else {
-                    return Err(ArrayError::DataLoss {
-                        object: id,
-                        chunk: c,
-                    });
-                };
-                degraded_chunks += 1;
-                chunk_fetch[c] = Some(fetch(&mut fetches, rep));
+            for (c, primary) in obj.chunks.iter().enumerate() {
+                let loc = self.healthy_copy(&obj, c).ok_or(ArrayError::DataLoss {
+                    object: id,
+                    chunk: c,
+                })?;
+                degraded_chunks += u64::from(loc.device != primary.device);
+                fetches.push(loc);
             }
         } else {
-            for (s, stripe) in obj.stripes.iter().enumerate() {
-                let members = &obj.chunks[stripe.first_chunk..stripe.first_chunk + stripe.width];
-                let lost: Vec<usize> = (0..stripe.width)
-                    .filter(|&i| self.failed[members[i].device])
-                    .collect();
-                for (i, loc) in members.iter().enumerate() {
-                    if !lost.contains(&i) {
-                        chunk_fetch[stripe.first_chunk + i] = Some(fetch(&mut fetches, loc));
-                    }
-                }
-                if lost.is_empty() {
-                    continue;
-                }
-                degraded_chunks += lost.len() as u64;
-                let avail: Vec<usize> = (0..stripe.parity.len())
-                    .filter(|&k| !self.failed[stripe.parity[k].device])
-                    .collect();
-                if lost.len() > avail.len() {
-                    return Err(ArrayError::DataLoss {
-                        object: id,
-                        chunk: stripe.first_chunk + lost[0],
-                    });
-                }
-                // One loss: one syndrome (prefer P). Two losses: P and Q.
-                for &k in avail.iter().take(lost.len()) {
-                    stripe_parity_fetch[s][k] = Some(fetch(&mut fetches, &stripe.parity[k]));
-                }
+            for stripe in &obj.stripes {
+                let plan = self.plan_stripe(id, &obj, stripe, 0, &mut fetches)?;
+                degraded_chunks += plan.lost().len() as u64;
+                plans.push(plan);
             }
         }
 
-        let (datas, elapsed, merged) = self.run_fetches(&fetches)?;
-        let link = self.finish_op(merged);
+        let (datas, elapsed, link) = self.run_fetches(&fetches)?;
         self.stats.degraded_chunk_reads += degraded_chunks;
 
-        // Reconstruct lost stripe members host-side.
-        let mut recovered: HashMap<usize, Vec<u8>> = HashMap::new();
-        for (s, stripe) in obj.stripes.iter().enumerate() {
-            let members = &obj.chunks[stripe.first_chunk..stripe.first_chunk + stripe.width];
-            let lost: Vec<usize> = (0..stripe.width)
-                .filter(|&i| chunk_fetch[stripe.first_chunk + i].is_none())
-                .collect();
-            if lost.is_empty() {
-                continue;
+        let data = if plans.is_empty() {
+            datas.concat()
+        } else {
+            let mut out = Vec::with_capacity(obj.bytes as usize);
+            for (stripe, plan) in obj.stripes.iter().zip(&plans) {
+                let members = stripe_members(id, stripe, plan, &datas)?;
+                for (loc, member) in stripe_chunks(&obj, stripe).iter().zip(&members) {
+                    out.extend_from_slice(&member[..loc.bytes as usize]);
+                }
             }
-            let len = stripe.len as usize;
-            let survivors_raw: Vec<(usize, &[u8])> = (0..stripe.width)
-                .filter_map(|i| {
-                    chunk_fetch[stripe.first_chunk + i].map(|fi| (i, datas[fi].as_slice()))
-                })
-                .collect();
-            let survivors_padded = recover::pad_streams(&survivors_raw, len);
-            let survivors: Vec<(usize, &[u8])> = survivors_padded
-                .iter()
-                .map(|(i, v)| (*i, v.as_slice()))
-                .collect();
-            let p = stripe_parity_fetch[s][0].map(|fi| datas[fi].as_slice());
-            let q = stripe_parity_fetch[s][1].map(|fi| datas[fi].as_slice());
-            let rebuilt =
-                recover::recover_lost(&survivors, &lost, p, q).ok_or(ArrayError::DataLoss {
-                    object: id,
-                    chunk: stripe.first_chunk + lost[0],
-                })?;
-            for (i, mut bytes) in rebuilt {
-                bytes.truncate(members[i].bytes as usize);
-                recovered.insert(stripe.first_chunk + i, bytes);
-            }
-        }
-
-        let mut out = Vec::with_capacity(obj.bytes as usize);
-        for (c, loc) in obj.chunks.iter().enumerate() {
-            match chunk_fetch[c] {
-                Some(fi) => out.extend_from_slice(&datas[fi][..loc.bytes as usize]),
-                None => out.extend_from_slice(&recovered[&c]),
-            }
-        }
-        debug_assert_eq!(out.len() as u64, obj.bytes);
+            out
+        };
+        debug_assert_eq!(data.len() as u64, obj.bytes);
         Ok(ArrayRead {
-            data: out,
+            data,
             elapsed,
             degraded_chunks,
             link,
@@ -734,21 +691,14 @@ impl SsdArray {
         // in object order so only the final (possibly partial) chunk can
         // break the byte-prefix rule — and it is last in its stream.
         let mut per_dev: BTreeMap<usize, (Vec<Lpa>, u64)> = BTreeMap::new();
-        for (c, loc) in obj.chunks.iter().enumerate() {
-            let use_loc = if !self.failed[loc.device] {
-                loc
-            } else {
-                obj.replicas[c]
-                    .iter()
-                    .find(|r| !self.failed[r.device])
-                    .ok_or(ArrayError::Degraded {
-                        device: loc.device,
-                        what: "scomp over a chunk with no healthy copy",
-                    })?
-            };
-            let entry = per_dev.entry(use_loc.device).or_default();
-            entry.0.extend_from_slice(&use_loc.lpas);
-            entry.1 += use_loc.bytes;
+        for (c, primary) in obj.chunks.iter().enumerate() {
+            let loc = self.healthy_copy(&obj, c).ok_or(ArrayError::Degraded {
+                device: primary.device,
+                what: "scomp over a chunk with no healthy copy",
+            })?;
+            let entry = per_dev.entry(loc.device).or_default();
+            entry.0.extend_from_slice(&loc.lpas);
+            entry.1 += loc.bytes;
         }
 
         let cmds: Vec<(usize, DeviceCmd)> = per_dev
@@ -761,73 +711,59 @@ impl SsdArray {
             .collect();
         let replies = self.run_batch(cmds)?;
 
-        let lane_devices: Vec<usize> = per_dev.keys().copied().collect();
-        let mut completions = Vec::with_capacity(replies.len());
+        let mut transfers = Vec::with_capacity(replies.len());
         let mut results = Vec::with_capacity(replies.len());
-        for (seq, reply) in replies.into_iter().enumerate() {
+        for (&dev, reply) in per_dev.keys().zip(replies) {
             let DeviceReply::Scomp { result } = reply else {
                 unreachable!("scomp command answered with a scomp reply");
             };
-            let dev = lane_devices[seq];
-            completions.push(Completion {
-                ready: SimTime::ZERO + result.elapsed,
-                device: dev,
-                seq: seq as u64,
-                host_bytes: result.bytes_out,
-            });
             let stats = &mut self.stats.devices[dev];
             stats.scomps += 1;
             stats.scomp_bytes_in += result.bytes_in;
-            stats.busy += result.elapsed;
+            transfers.push((dev, result.elapsed, result.bytes_out));
             results.push(result);
         }
-        self.link.reset_time();
-        let merged = merge_completions(completions);
-        let mut dones: HashMap<usize, SimTime> = HashMap::new();
-        let mut done_max = SimTime::ZERO;
-        for ev in &merged {
-            let done = self.link.transfer(ev.device, ev.ready, ev.host_bytes);
-            dones.insert(ev.device, done);
-            done_max = done_max.max(done);
-        }
-        let link = self.finish_op(merged.len() as u64);
+        let (dones, link) = self.cross_root(&transfers);
 
-        let per_device: Vec<DeviceLane> = lane_devices
-            .iter()
+        let per_device: Vec<DeviceLane> = per_dev
+            .keys()
             .zip(&results)
-            .map(|(&device, r)| DeviceLane {
+            .zip(&dones)
+            .map(|((&device, r), &done)| DeviceLane {
                 device,
                 bytes_in: r.bytes_in,
                 bytes_out: r.bytes_out,
                 device_elapsed: r.elapsed,
-                done: dones[&device],
+                done,
                 simulated_gbps: r.throughput_gbps(),
             })
             .collect();
+        let done = dones.into_iter().max().unwrap_or(SimTime::ZERO);
         Ok(ArrayScomp {
             outputs: results.iter().map(|r| r.concat_output()).collect(),
             bytes_in: results.iter().map(|r| r.bytes_in).sum(),
             bytes_out: results.iter().map(|r| r.bytes_out).sum(),
-            elapsed: done_max.since(SimTime::ZERO),
+            elapsed: done.since(SimTime::ZERO),
             per_device,
             link,
         })
     }
 
-    /// Marks a device failed. Subsequent reads take the degraded path;
+    /// Takes a device down. Subsequent reads take the degraded path;
     /// stores and scomp needing the device error out until
-    /// [`SsdArray::rebuild_device`].
+    /// [`SsdArray::rebuild_device`]. A panic caught in one of the
+    /// device's commands takes it down the same way.
     ///
     /// # Panics
     ///
     /// Panics if `device` is out of range.
     pub fn fail_device(&mut self, device: usize) {
         assert!(device < self.cfg.devices, "device {device} out of range");
-        self.failed[device] = true;
+        self.devices[device] = None;
         self.stats.devices[device].failed = true;
     }
 
-    /// Replaces failed device `device` with a factory-blank drive and
+    /// Replaces down device `device` with a factory-blank drive and
     /// reconstructs every chunk it held — data from replicas or parity,
     /// parity recomputed from (recovered) data. The reconstruction reads
     /// are timed and contend the shared root: this is the rebuild storm.
@@ -835,8 +771,8 @@ impl SsdArray {
     /// # Errors
     ///
     /// Fails with [`ArrayError::BadConfig`] if `device` is out of range
-    /// or not failed, with [`ArrayError::DataLoss`] if any chunk is
-    /// unrecoverable, or on device errors.
+    /// or not down, with [`ArrayError::DataLoss`] if any chunk is
+    /// unrecoverable, or on device errors (the device then stays down).
     pub fn rebuild_device(&mut self, device: usize) -> Result<RebuildReport, ArrayError> {
         if device >= self.cfg.devices {
             return Err(ArrayError::BadConfig(format!(
@@ -844,226 +780,111 @@ impl SsdArray {
                 self.cfg.devices
             )));
         }
-        if !self.failed[device] {
+        if self.up(device) {
             return Err(ArrayError::BadConfig(format!(
                 "device {device} is not failed; nothing to rebuild"
             )));
         }
 
-        // Writes planned against each object: (destination first LPA,
-        // payload bytes) resolved after the fetch pass.
-        enum Pending {
-            /// Straight copy of a fetched chunk.
-            Copy { fetch: usize, dst: u64, bytes: u64 },
-            /// Stripe work: reconstruct the member set, then emit the
-            /// requested roles onto the rebuilt device.
+        /// Rebuild work, resolved once the read storm has landed.
+        enum Job<'a> {
+            /// Copy a healthy copy's read into the lost copy `dst`.
+            Copy { fetch: usize, dst: &'a ChunkLoc },
+            /// Reconstruct a stripe with a member or syndrome on the
+            /// device.
             Stripe {
                 object: u64,
-                first_chunk: usize,
-                /// Member positions on failed devices, ascending.
-                lost: Vec<usize>,
-                member_fetch: Vec<Option<usize>>,
-                p_fetch: Option<usize>,
-                q_fetch: Option<usize>,
-                len: u64,
-                /// `(role, dst, bytes)`: role 0..width = data position,
-                /// width = P, width + 1 = Q.
-                out: Vec<(usize, u64, u64)>,
+                obj: &'a StoredObject,
+                stripe: &'a StripeLoc,
+                plan: StripePlan,
             },
         }
-
-        let mut fetches: Vec<Fetch> = Vec::new();
-        let mut pending: Vec<Pending> = Vec::new();
-        let fetch = |fetches: &mut Vec<Fetch>, loc: &ChunkLoc| -> usize {
-            fetches.push(Fetch {
-                device: loc.device,
-                lpas: loc.lpas.clone(),
-                bytes: loc.bytes,
-            });
-            fetches.len() - 1
-        };
 
         let objects: Vec<(u64, StoredObject)> = self
             .catalog
             .iter()
             .map(|(id, o)| (*id, o.clone()))
             .collect();
+        let mut fetches: Vec<&ChunkLoc> = Vec::new();
+        let mut jobs: Vec<Job> = Vec::new();
         for (id, obj) in &objects {
             if obj.stripes.is_empty() {
-                for (c, loc) in obj.chunks.iter().enumerate() {
-                    let copies: Vec<&ChunkLoc> =
-                        std::iter::once(loc).chain(&obj.replicas[c]).collect();
-                    for dst in copies.iter().filter(|l| l.device == device) {
-                        let Some(src) = copies
-                            .iter()
-                            .find(|l| l.device != device && !self.failed[l.device])
-                        else {
-                            return Err(ArrayError::DataLoss {
-                                object: *id,
-                                chunk: c,
-                            });
-                        };
-                        pending.push(Pending::Copy {
-                            fetch: fetch(&mut fetches, src),
-                            dst: dst.lpas[0].0,
-                            bytes: dst.bytes,
+                for c in 0..obj.chunks.len() {
+                    let copies = std::iter::once(&obj.chunks[c]).chain(&obj.replicas[c]);
+                    for dst in copies.filter(|l| l.device == device) {
+                        let src = self.healthy_copy(obj, c).ok_or(ArrayError::DataLoss {
+                            object: *id,
+                            chunk: c,
+                        })?;
+                        fetches.push(src);
+                        jobs.push(Job::Copy {
+                            fetch: fetches.len() - 1,
+                            dst,
                         });
                     }
                 }
-            } else {
-                for stripe in &obj.stripes {
-                    let members =
-                        &obj.chunks[stripe.first_chunk..stripe.first_chunk + stripe.width];
-                    let mut out: Vec<(usize, u64, u64)> = Vec::new();
-                    for (i, loc) in members.iter().enumerate() {
-                        if loc.device == device {
-                            out.push((i, loc.lpas[0].0, loc.bytes));
-                        }
-                    }
-                    for (k, loc) in stripe.parity.iter().enumerate() {
-                        if loc.device == device {
-                            out.push((stripe.width + k, loc.lpas[0].0, loc.bytes));
-                        }
-                    }
-                    if out.is_empty() {
-                        continue;
-                    }
-                    let member_fetch: Vec<Option<usize>> = members
-                        .iter()
-                        .map(|loc| (!self.failed[loc.device]).then(|| fetch(&mut fetches, loc)))
-                        .collect();
-                    let lost: Vec<usize> = member_fetch
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, f)| f.is_none().then_some(i))
-                        .collect();
-                    let usable: Vec<Option<usize>> = stripe
-                        .parity
-                        .iter()
-                        .map(|loc| (!self.failed[loc.device]).then(|| fetch(&mut fetches, loc)))
-                        .collect();
-                    let avail = usable.iter().filter(|f| f.is_some()).count();
-                    if lost.len() > avail {
-                        return Err(ArrayError::DataLoss {
-                            object: *id,
-                            chunk: stripe.first_chunk + lost[0],
-                        });
-                    }
-                    pending.push(Pending::Stripe {
+            }
+            for stripe in &obj.stripes {
+                let held = stripe_chunks(obj, stripe)
+                    .iter()
+                    .chain(&stripe.parity)
+                    .any(|l| l.device == device);
+                if held {
+                    // Every healthy syndrome is read, needed or not.
+                    let spare = stripe.parity.len();
+                    let plan = self.plan_stripe(*id, obj, stripe, spare, &mut fetches)?;
+                    jobs.push(Job::Stripe {
                         object: *id,
-                        first_chunk: stripe.first_chunk,
-                        lost,
-                        member_fetch,
-                        p_fetch: usable.first().copied().flatten(),
-                        q_fetch: usable.get(1).copied().flatten(),
-                        len: stripe.len,
-                        out,
+                        obj,
+                        stripe,
+                        plan,
                     });
                 }
             }
         }
 
-        let (datas, elapsed, merged) = self.run_fetches(&fetches)?;
+        let (datas, elapsed, link) = self.run_fetches(&fetches)?;
         let bytes_read: u64 = datas.iter().map(|d| d.len() as u64).sum();
-        let link = self.finish_op(merged);
 
-        // Resolve payloads and write them to the blank replacement.
-        let mut cmds: Vec<(usize, DeviceCmd)> = vec![(device, DeviceCmd::Replace)];
-        let mut chunks = 0u64;
-        let mut bytes_written = 0u64;
-        let mut pages_written = 0u64;
-        for p in &pending {
-            match p {
-                Pending::Copy { fetch, dst, bytes } => {
-                    chunks += 1;
-                    bytes_written += bytes;
-                    pages_written += self.pages_for(*bytes);
-                    cmds.push((
-                        device,
-                        DeviceCmd::Store {
-                            first_lpa: *dst,
-                            data: Arc::from(&datas[*fetch][..*bytes as usize]),
-                        },
-                    ));
+        let mut writes: Vec<(&ChunkLoc, Arc<[u8]>)> = Vec::new();
+        for job in &jobs {
+            match job {
+                Job::Copy { fetch, dst } => {
+                    writes.push((*dst, Arc::from(datas[*fetch].as_slice())))
                 }
-                Pending::Stripe {
+                Job::Stripe {
                     object,
-                    first_chunk,
-                    lost,
-                    member_fetch,
-                    p_fetch,
-                    q_fetch,
-                    len,
-                    out,
+                    obj,
+                    stripe,
+                    plan,
                 } => {
-                    let len = *len as usize;
-                    // Zero-pad the survivors to the stripe length.
-                    let survivors_padded: Vec<(usize, Vec<u8>)> = member_fetch
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, f)| f.map(|fi| (i, datas[fi].as_slice())))
-                        .map(|(i, s)| {
-                            let mut v = vec![0u8; len];
-                            v[..s.len()].copy_from_slice(s);
-                            (i, v)
-                        })
-                        .collect();
-                    let survivors: Vec<(usize, &[u8])> = survivors_padded
-                        .iter()
-                        .map(|(i, v)| (*i, v.as_slice()))
-                        .collect();
-                    let p = p_fetch.map(|fi| datas[fi].as_slice());
-                    let q = q_fetch.map(|fi| datas[fi].as_slice());
-                    let data_loss = |i: usize| ArrayError::DataLoss {
-                        object: *object,
-                        chunk: first_chunk + i,
-                    };
-                    let rebuilt = recover::recover_lost(&survivors, lost, p, q)
-                        .ok_or_else(|| data_loss(lost[0]))?;
-                    // The full member set: fetched survivors plus the
-                    // reconstructed (zero-padded) lost members.
-                    let members: Vec<&[u8]> = member_fetch
-                        .iter()
-                        .enumerate()
-                        .map(|(i, f)| match f {
-                            Some(fi) => Ok(datas[*fi].as_slice()),
-                            None => rebuilt
-                                .iter()
-                                .find(|(j, _)| *j == i)
-                                .map(|(_, v)| v.as_slice())
-                                .ok_or_else(|| data_loss(i)),
-                        })
-                        .collect::<Result<_, _>>()?;
-                    for &(role, dst, bytes) in out {
-                        // A lost parity chunk is recomputed as only the
-                        // syndrome it holds.
-                        let payload: Vec<u8> = if role < members.len() {
-                            members[role][..bytes as usize].to_vec()
-                        } else if role == members.len() {
-                            recover::p_parity(&members, len)
-                        } else {
-                            recover::q_parity(&members, len)
-                        };
-                        chunks += 1;
-                        bytes_written += payload.len() as u64;
-                        pages_written += self.pages_for(payload.len() as u64);
-                        cmds.push((
-                            device,
-                            DeviceCmd::Store {
-                                first_lpa: dst,
-                                data: Arc::from(payload),
-                            },
-                        ));
+                    let members = stripe_members(*object, stripe, plan, &datas)?;
+                    for (loc, member) in stripe_chunks(obj, stripe).iter().zip(&members) {
+                        if loc.device == device {
+                            writes.push((loc, Arc::from(&member[..loc.bytes as usize])));
+                        }
+                    }
+                    let members: Vec<&[u8]> = members.iter().map(|m| m.as_ref()).collect();
+                    let len = stripe.len as usize;
+                    for (k, loc) in stripe.parity.iter().enumerate() {
+                        // A lost syndrome is recomputed as only the one
+                        // its chunk holds.
+                        if loc.device == device {
+                            let syndrome = match k {
+                                0 => recover::p_parity(&members, len),
+                                _ => recover::q_parity(&members, len),
+                            };
+                            writes.push((loc, Arc::from(syndrome)));
+                        }
                     }
                 }
             }
         }
-        self.run_batch(cmds)?;
-        self.failed[device] = false;
-        let stats = &mut self.stats.devices[device];
-        stats.failed = false;
-        stats.stores += chunks;
-        stats.pages_written += pages_written;
+        let chunks = writes.len() as u64;
+        let bytes_written: u64 = writes.iter().map(|(_, d)| d.len() as u64).sum();
+        self.run_batch(vec![(device, DeviceCmd::Replace)])?;
+        self.write_chunks(writes)
+            .inspect_err(|_| self.fail_device(device))?;
         self.stats.rebuild_bytes_read += bytes_read;
         self.stats.rebuild_bytes_written += bytes_written;
         Ok(RebuildReport {
@@ -1074,5 +895,42 @@ impl SsdArray {
             elapsed,
             link,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use assasin_core::EngineKind;
+    use assasin_ssd::SsdConfig;
+
+    // Regression: a panic caught in a device command used to empty the
+    // slot without marking the device failed, so every later read failed
+    // with `WorkerFailed` and the rebuild refused the device.
+    #[test]
+    fn a_panicked_device_degrades_and_rebuilds_like_a_failed_one() {
+        let device = SsdConfig::small_for_tests(EngineKind::AssasinSb);
+        let cfg = ArrayConfig::new(5, ArrayPlacement::Raid6, device).with_chunk_bytes(8192);
+        let mut a = SsdArray::new(cfg).expect("valid config");
+        let data: Vec<u8> = (0..8192 * 6 + 100).map(|i| (i * 7 % 251) as u8).collect();
+        a.store_object(1, &data).expect("store");
+
+        let Err(err) = a.run_batch(vec![(1, DeviceCmd::Panic)]) else {
+            panic!("the injected panic surfaces as an error");
+        };
+        assert!(
+            matches!(err, ArrayError::WorkerFailed { device: 1, .. }),
+            "got {err}"
+        );
+        assert!(a.stats().devices[1].failed);
+        let read = a.read_object(1).expect("degraded read after the panic");
+        assert_eq!(read.data, data);
+        assert!(read.degraded_chunks > 0);
+
+        a.rebuild_device(1).expect("rebuild the panicked device");
+        assert!(!a.stats().devices[1].failed);
+        let read = a.read_object(1).expect("healthy read after the rebuild");
+        assert_eq!(read.data, data);
+        assert_eq!(read.degraded_chunks, 0);
     }
 }

@@ -42,8 +42,6 @@ pub struct ArrayConfig {
     pub device: SsdConfig,
     /// Per-device NAND fault seeds. Empty means every device uses
     /// `device.fault.seed` as-is; otherwise one seed per device.
-    /// Incompatible with image forking (the fault model is part of the
-    /// media identity a fork must preserve).
     pub fault_seeds: Vec<u64>,
     /// Shared root-complex bandwidth in bytes/second. Provisioned below
     /// `devices` times one device's [`PCIE_BW`] in any interesting

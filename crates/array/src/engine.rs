@@ -49,9 +49,8 @@ pub(crate) enum DeviceReply {
 }
 
 /// Runs one command against device `dev`'s slot. `Replace` installs a
-/// factory-blank drive built from `cfg` — same config, no image fork
-/// (the rebuild repopulates it from its peers) — and is the one command
-/// an empty (poisoned) slot accepts.
+/// factory-blank drive built from `cfg` (the rebuild repopulates it from
+/// its peers) and is the one command an empty (down) slot accepts.
 fn exec(
     slot: &mut Option<Ssd>,
     cfg: &ArrayConfig,

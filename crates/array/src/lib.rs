@@ -7,9 +7,7 @@
 //! crate builds that layer on top of `assasin-ssd` without touching the
 //! device model:
 //!
-//! * [`SsdArray`] owns N devices, either fresh or all forked from one
-//!   preconditioned [`SsdImage`](assasin_ssd::SsdImage) (copy-on-write,
-//!   so N-device preconditioning costs one load).
+//! * [`SsdArray`] owns N fresh devices.
 //! * [`ArrayPlacement`] is the host-side placement/erasure policy:
 //!   striping, weighted (skewed) striping, K-way replication, and
 //!   RAID4/RAID6 parity promoted from the device-local kernels

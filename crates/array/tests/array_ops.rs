@@ -3,10 +3,10 @@
 //! against host-side goldens (the kernels crate's reference encoders
 //! and `aes::golden`).
 
-use assasin_array::{ArrayConfig, ArrayError, ArrayExec, ArrayPlacement, SsdArray};
+use assasin_array::{ArrayConfig, ArrayError, ArrayPlacement, SsdArray};
 use assasin_core::EngineKind;
 use assasin_kernels::aes;
-use assasin_ssd::{KernelBundle, Ssd, SsdConfig};
+use assasin_ssd::{KernelBundle, SsdConfig};
 
 const AES_KEY: [u8; 16] = [
     0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f,
@@ -265,29 +265,6 @@ fn scomp_follows_replicas_but_refuses_parity_holes() {
         r4.scomp_object(1, aes_bundle).unwrap_err(),
         ArrayError::Degraded { device: 0, .. }
     ));
-}
-
-#[test]
-fn from_image_forks_share_one_preconditioned_load() {
-    let device = SsdConfig::small_for_tests(EngineKind::AssasinSb);
-    let data = pattern(8192 * 6, 11);
-    let mut seed = Ssd::new(device);
-    seed.load_object(0, &data).expect("precondition");
-    let image = seed.into_image();
-    let mut a = SsdArray::from_image(
-        cfg(3, ArrayPlacement::Striped).with_exec(ArrayExec::Serial),
-        &image,
-        1024,
-    )
-    .expect("array from image");
-    a.adopt_striped(1, 0, data.len() as u64).expect("adopt");
-    assert_eq!(a.read_object(1).expect("read").data, data);
-    let out = a.scomp_object(1, aes_bundle).expect("scomp");
-    assert_eq!(out.bytes_in, data.len() as u64);
-    // New objects allocate past the image.
-    a.store_object(2, &pattern(8192, 12))
-        .expect("store past image");
-    assert_eq!(a.read_object(2).expect("read").data, pattern(8192, 12));
 }
 
 #[test]

@@ -81,11 +81,6 @@ impl FlashArray {
         }
     }
 
-    /// The active fault-injection config.
-    pub fn fault_config(&self) -> &FaultConfig {
-        &self.fault
-    }
-
     /// Cumulative reliability counters for this array (never reset between
     /// experiment phases).
     pub fn reliability_stats(&self) -> ReliabilityStats {
@@ -297,11 +292,6 @@ impl FlashArray {
         self.channels[channel as usize].bus.busy_time()
     }
 
-    /// Aggregate peak read bandwidth of the array in bytes/second.
-    pub fn peak_read_bw(&self) -> f64 {
-        self.geom.channels as f64 * self.timing.channel_read_bw()
-    }
-
     /// Resets per-channel statistics (steady-state measurement windows).
     pub fn reset_stats(&mut self) {
         for ch in &mut self.channels {
@@ -410,11 +400,5 @@ mod tests {
         assert!(!arr.is_written(addr(1, 1, 0)));
         arr.write_page(addr(1, 1, 0), filled(&geom, 9), SimTime::ZERO)
             .unwrap();
-    }
-
-    #[test]
-    fn peak_bw_is_channels_times_rate() {
-        let arr = FlashArray::new(FlashGeometry::default(), FlashTiming::default());
-        assert!((arr.peak_read_bw() - 8.0e9).abs() < 1.0);
     }
 }

@@ -27,12 +27,6 @@ impl FlashTiming {
         SimDur::from_secs_f64(bytes as f64 / self.channel_bytes_per_sec)
     }
 
-    /// Peak sustained read bandwidth of one channel in bytes/second,
-    /// assuming enough chip interleaving to hide tR.
-    pub fn channel_read_bw(&self) -> f64 {
-        self.channel_bytes_per_sec
-    }
-
     /// Minimum number of chips that must interleave on one channel to
     /// saturate the bus for reads of `page_bytes` pages.
     pub fn chips_to_saturate(&self, page_bytes: u32) -> u32 {

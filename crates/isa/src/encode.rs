@@ -4,9 +4,9 @@
 //! also fits the 32-bit instruction word). The encoding here is our own —
 //! the reproduction does not need binary compatibility with RV32 — but it
 //! proves the ISA (including the stream extension) fits 32-bit words, and
-//! the round-trip property is exercised by tests and used to measure code
-//! size. Branch/jump targets are instruction indices and are limited to 14
-//! bits (branches) / 22 bits (jumps); kernels are far smaller.
+//! tests exercise the encode/decode round-trip. Branch/jump targets are
+//! instruction indices and are limited to 14 bits (branches) / 22 bits
+//! (jumps); kernels are far smaller.
 
 use crate::instr::{AluOp, BranchCond};
 use crate::{AsmError, DecodeError, Instr, Reg};

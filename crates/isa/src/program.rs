@@ -54,11 +54,6 @@ impl Program {
     pub fn iter(&self) -> impl Iterator<Item = &Instr> {
         self.instrs.iter()
     }
-
-    /// Static code size in bytes (4 bytes per instruction).
-    pub fn code_bytes(&self) -> usize {
-        self.instrs.len() * 4
-    }
 }
 
 impl fmt::Display for Program {
@@ -92,7 +87,6 @@ mod tests {
             ],
         );
         assert_eq!(p.len(), 2);
-        assert_eq!(p.code_bytes(), 8);
         assert_eq!(p.fetch(0), Some(Instr::Halt));
         assert_eq!(p.fetch(2), None);
         assert!(!p.is_empty());
