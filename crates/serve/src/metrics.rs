@@ -2,8 +2,9 @@
 //!
 //! Latency is `completion - arrival` on the front-end's virtual clock;
 //! no wall-clock reading ever enters a report, so the same run always
-//! serializes to the same bytes. Percentiles are nearest-rank over the
-//! sorted latency vector (`idx = (n-1)*p/100`, integer arithmetic), and
+//! serializes to the same bytes. Percentiles are nearest-rank
+//! (`idx = (n-1)*p/100` into the sorted latencies, integer arithmetic),
+//! found by selection rather than a full sort, and
 //! undefined statistics are `Option`s that serialize as `null` — never a
 //! NaN (which would not even be valid JSON) and never a fake zero.
 
@@ -55,7 +56,27 @@ impl TenantMetrics {
     /// Freezes the accumulator into a report row. `makespan` is the
     /// run's total simulated span (for achieved throughput).
     pub fn finish(mut self, spec: &TenantSpec, makespan: SimDur) -> TenantReport {
-        self.latencies_ps.sort_unstable();
+        let (p50_us, p99_us, max_us) = match self.latencies_ps.len() {
+            0 => (None, None, None),
+            n => {
+                // Selecting p99 leaves everything smaller before it, so
+                // p50 (rank <= p99's) is selected from that prefix and
+                // the max is the largest of the suffix.
+                let (i50, i99) = (nearest_rank(n, 50), nearest_rank(n, 99));
+                let (below, &mut p99, above) = self.latencies_ps.select_nth_unstable(i99);
+                let max = above.iter().fold(p99, |m, &ps| m.max(ps));
+                let p50 = if i50 == i99 {
+                    p99
+                } else {
+                    *below.select_nth_unstable(i50).1
+                };
+                (
+                    Some(ps_to_us(p50)),
+                    Some(ps_to_us(p99)),
+                    Some(ps_to_us(max)),
+                )
+            }
+        };
         TenantReport {
             name: spec.name.clone(),
             weight: spec.weight,
@@ -65,9 +86,9 @@ impl TenantMetrics {
             rejected: self.rejected,
             completed: self.completed,
             slo_violations: self.slo_violations,
-            p50_us: percentile_us(&self.latencies_ps, 50),
-            p99_us: percentile_us(&self.latencies_ps, 99),
-            max_us: self.latencies_ps.last().map(|&ps| ps_to_us(ps)),
+            p50_us,
+            p99_us,
+            max_us,
             bytes_in: self.bytes_in,
             bytes_out: self.bytes_out,
             // The `Option` from `throughput_bps` flows straight into the
@@ -134,13 +155,10 @@ pub struct ServeReport {
     pub tenants: Vec<TenantReport>,
 }
 
-/// Nearest-rank percentile of a sorted latency vector, in microseconds.
-fn percentile_us(sorted_ps: &[u64], p: u64) -> Option<f64> {
-    if sorted_ps.is_empty() {
-        return None;
-    }
-    let idx = (sorted_ps.len() as u64 - 1) * p / 100;
-    Some(ps_to_us(sorted_ps[idx as usize]))
+/// Index of the nearest-rank `p`th percentile among `n >= 1` sorted
+/// values.
+fn nearest_rank(n: usize, p: usize) -> usize {
+    (n - 1) * p / 100
 }
 
 fn ps_to_us(ps: u64) -> f64 {
@@ -184,6 +202,33 @@ mod tests {
         assert_eq!(row.slo_violations, 10, "91..=100 us exceed the 90 us SLO");
         assert_eq!(row.completed, 100);
         assert!(row.achieved_gbps.is_some());
+    }
+
+    #[test]
+    fn selected_percentiles_match_a_sorted_nearest_rank() {
+        let mut rng = crate::SplitMix64::new(5);
+        for n in [1usize, 2, 3, 100, 101] {
+            let ascending: Vec<u64> = (0..n as u64).map(|i| 1_000 * (i / 3 + 1)).collect();
+            let mut shuffled = ascending.clone();
+            for i in (1..n).rev() {
+                shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let distinct: Vec<u64> = (1..=n as u64).map(|i| 7_000 * i).collect();
+            let reversed: Vec<u64> = distinct.iter().rev().copied().collect();
+            for order in [ascending, shuffled, reversed] {
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                let us = |idx: usize| Some(ps_to_us(sorted[idx]));
+                let mut m = TenantMetrics::default();
+                for &ps in &order {
+                    m.on_completion(SimTime::ZERO, SimTime::from_ps(ps), 0, 0, None);
+                }
+                let row = m.finish(&spec(), SimDur::from_us(1));
+                assert_eq!(row.p50_us, us((n - 1) * 50 / 100), "p50, n = {n}");
+                assert_eq!(row.p99_us, us((n - 1) * 99 / 100), "p99, n = {n}");
+                assert_eq!(row.max_us, us(n - 1), "max, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 /// Fixed-point scale for virtual-work charges: one picosecond of service
 /// at weight 1 costs `SCALE` units, so integer division by any weight in
 /// `1..=u32::MAX` keeps 20 bits of fraction.
-const SCALE: u128 = 1 << 20;
+const SCALE: u64 = 1 << 20;
 
 /// Weighted-fair dispatch order over a fixed tenant set.
 #[derive(Debug)]
@@ -67,9 +67,16 @@ impl WeightedFair {
     }
 
     /// Charges `tenant` for `elapsed_ps` picoseconds of device time.
+    ///
+    /// The scaled charge is computed in `u64` whenever it fits (service
+    /// times below 2^44 ps, about 17.6 simulated seconds) and in `u128`
+    /// otherwise; both give the same exact quotient.
     pub fn charge(&mut self, tenant: usize, elapsed_ps: u64) {
-        let weight = self.weights[tenant] as u128;
-        self.vwork[tenant] += elapsed_ps as u128 * SCALE / weight;
+        let weight = self.weights[tenant];
+        self.vwork[tenant] += match elapsed_ps.checked_mul(SCALE) {
+            Some(scaled) => (scaled / weight as u64) as u128,
+            None => elapsed_ps as u128 * SCALE as u128 / weight as u128,
+        };
     }
 
     /// Current virtual work (tests and debugging).
@@ -130,6 +137,18 @@ mod tests {
         // From here contention is 1:1 (tenant 1 wins the first tie? no —
         // equal vwork ties break to tenant 0).
         assert_eq!(sched.pick(0..2), Some(0));
+    }
+
+    #[test]
+    fn charge_is_exact_on_both_sides_of_the_u64_boundary() {
+        for elapsed in [0, 1, 999_983, (1 << 44) - 1, 1 << 44, u64::MAX] {
+            for weight in [1, 3, 5, u32::MAX] {
+                let mut sched = WeightedFair::new(vec![weight]);
+                sched.charge(0, elapsed);
+                let want = elapsed as u128 * (1u128 << 20) / weight as u128;
+                assert_eq!(sched.vwork(0), want, "{elapsed} ps at weight {weight}");
+            }
+        }
     }
 
     #[test]

@@ -101,29 +101,6 @@ impl TenantQueues {
             .and_then(|q| q.front())
             .map(|s| s.arrival)
     }
-
-    /// Queued submissions for `tenant`.
-    pub fn backlog(&self, tenant: usize) -> usize {
-        self.queues.get(tenant).map_or(0, |q| q.len())
-    }
-
-    /// Earliest head arrival across all tenants — the first moment any
-    /// queued work becomes dispatchable.
-    pub fn earliest_head(&self) -> Option<SimTime> {
-        (0..self.queues.len())
-            .filter_map(|t| self.head_arrival(t))
-            .min()
-    }
-
-    /// True when nothing is queued anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.queues.len()
-    }
 }
 
 #[cfg(test)]
@@ -152,17 +129,11 @@ mod tests {
         // Popping frees a slot.
         assert_eq!(q.pop(0).map(|s| s.arrival.as_ps()), Some(1));
         assert_eq!(q.submit(sub(0, 4)), Ok(()));
-        assert_eq!(q.backlog(0), 2);
-    }
-
-    #[test]
-    fn earliest_head_scans_all_tenants() {
-        let mut q = TenantQueues::new(vec![4, 4]);
-        assert_eq!(q.earliest_head(), None);
-        assert!(q.is_empty());
-        q.submit(sub(1, 30)).unwrap();
-        q.submit(sub(0, 50)).unwrap();
-        assert_eq!(q.earliest_head(), Some(SimTime::from_ps(30)));
-        assert!(!q.is_empty());
+        assert_eq!(q.head_arrival(0), Some(SimTime::from_ps(2)));
+        assert_eq!(
+            q.submit(sub(0, 5)),
+            Err(RejectReason::QueueFull { depth: 2 })
+        );
+        assert_eq!(q.head_arrival(1), None);
     }
 }
