@@ -159,9 +159,7 @@ impl fmt::Display for Fig13Report {
         writeln!(f, "{title}")?;
         let mut headers = vec!["function"];
         if let Some(first) = self.functions.first() {
-            for e in &first.entries {
-                headers.push(Box::leak(e.engine.clone().into_boxed_str()));
-            }
+            headers.extend(first.entries.iter().map(|e| e.engine.as_str()));
         }
         let rows: Vec<Vec<String>> =
             self.functions

@@ -164,8 +164,8 @@ impl Ssd {
     /// in place — a deliberately inconsistent state that cannot arise
     /// through the public API. Test hook for exercising the typed
     /// error path on unwritten physical pages.
-    #[doc(hidden)]
-    pub fn corrupt_mapping_for_tests(&mut self, lpa: Lpa) {
+    #[cfg(test)]
+    fn corrupt_mapping_for_tests(&mut self, lpa: Lpa) {
         let addr = self.ftl.translate(lpa).expect("lpa must be mapped");
         self.flash
             .erase_block(
@@ -1287,5 +1287,47 @@ mod tests {
         let req = ScompRequest::new(bundle, all_lpas).with_stream_bytes(vec![32 * 1024; 4]);
         let r = ssd.scomp(&req).unwrap();
         assert_eq!(r.concat_output(), expect);
+    }
+
+    /// A mapped-but-unwritten physical page (reachable only through the
+    /// test corruption hook) must surface as a typed flash error from
+    /// `scomp` on the streaming path (`schedule_plans`), not as a panic.
+    #[test]
+    fn unwritten_page_surfaces_as_typed_error_on_stream_path() {
+        let mut ssd = make_ssd(EngineKind::AssasinSb);
+        let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 239) as u8).collect();
+        let lpas = ssd.load_object(0, &data).unwrap();
+        ssd.corrupt_mapping_for_tests(lpas[3]);
+        let req =
+            ScompRequest::new(scan_bundle(), vec![lpas]).with_stream_bytes(vec![data.len() as u64]);
+        match ssd.scomp(&req) {
+            Err(SsdError::Ftl(assasin_ftl::FtlError::Flash(e))) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("ch") || msg.contains("page"),
+                    "flash error names the physical page: {msg}"
+                );
+            }
+            other => panic!("expected a typed flash error, got {other:?}"),
+        }
+    }
+
+    /// Same corruption on the Baseline engine exercises the DRAM staging
+    /// path (`stage_windows`), which used to `.expect()` on flash reads.
+    #[test]
+    fn unwritten_page_surfaces_as_typed_error_on_staging_path() {
+        let mut ssd = make_ssd(EngineKind::Baseline);
+        let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 239) as u8).collect();
+        let lpas = ssd.load_object(0, &data).unwrap();
+        ssd.corrupt_mapping_for_tests(lpas[0]);
+        let req =
+            ScompRequest::new(scan_bundle(), vec![lpas]).with_stream_bytes(vec![data.len() as u64]);
+        assert!(
+            matches!(
+                ssd.scomp(&req),
+                Err(SsdError::Ftl(assasin_ftl::FtlError::Flash(_)))
+            ),
+            "staging path propagates typed flash errors"
+        );
     }
 }

@@ -22,46 +22,6 @@ fn loaded_ssd(cfg: SsdConfig, bytes: usize) -> (Ssd, Vec<assasin_ftl::Lpa>, Vec<
     (ssd, lpas, data)
 }
 
-/// A mapped-but-unwritten physical page (reachable only through the test
-/// corruption hook) must surface as a typed flash error from `scomp` on
-/// the streaming path (`schedule_plans`), not as a panic.
-#[test]
-fn unwritten_page_surfaces_as_typed_error_on_stream_path() {
-    let (mut ssd, lpas, data) =
-        loaded_ssd(SsdConfig::small_for_tests(EngineKind::AssasinSb), 64 * 1024);
-    ssd.corrupt_mapping_for_tests(lpas[3]);
-    let req =
-        ScompRequest::new(scan_bundle(), vec![lpas]).with_stream_bytes(vec![data.len() as u64]);
-    match ssd.scomp(&req) {
-        Err(SsdError::Ftl(assasin_ftl::FtlError::Flash(e))) => {
-            let msg = e.to_string();
-            assert!(
-                msg.contains("ch") || msg.contains("page"),
-                "flash error names the physical page: {msg}"
-            );
-        }
-        other => panic!("expected a typed flash error, got {other:?}"),
-    }
-}
-
-/// Same corruption on the Baseline engine exercises the DRAM staging path
-/// (`stage_windows`), which used to `.expect()` on flash reads.
-#[test]
-fn unwritten_page_surfaces_as_typed_error_on_staging_path() {
-    let (mut ssd, lpas, data) =
-        loaded_ssd(SsdConfig::small_for_tests(EngineKind::Baseline), 64 * 1024);
-    ssd.corrupt_mapping_for_tests(lpas[0]);
-    let req =
-        ScompRequest::new(scan_bundle(), vec![lpas]).with_stream_bytes(vec![data.len() as u64]);
-    assert!(
-        matches!(
-            ssd.scomp(&req),
-            Err(SsdError::Ftl(assasin_ftl::FtlError::Flash(_)))
-        ),
-        "staging path propagates typed flash errors"
-    );
-}
-
 /// With the retry ladder disabled and a BER far beyond the ECC budget,
 /// every read is uncorrectable: the host read must degrade to a typed
 /// [`SsdError::Media`] carrying both the logical and physical address.
